@@ -57,7 +57,7 @@ int main() {
               wire.size(), t.zp_ms, t.ecc_ms, t.gt_ms);
 
   // --- Contract: constant-cost verification (Eq. 2). ----------------------
-  auto received = audit::deserialize_private(wire);
+  auto received = audit::decode_private(wire);
   bool ok = received && audit::verify_private(kp.pk, name, file.num_chunks(),
                                               chal, *received);
   std::printf("contract: verification %s -> micro-payment to %s\n",

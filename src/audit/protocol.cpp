@@ -228,6 +228,13 @@ std::array<std::uint8_t, 32> key_id_of(const G2& epsilon, const G2& delta) {
       std::span<const std::uint8_t>(buf.data(), buf.size()));
 }
 
+/// One-instance settlement: the exact check, no weights, so the seed is
+/// unused.
+bool settle_one(const SettlementInstance& inst) {
+  return verify_settlement(std::span<const SettlementInstance>(&inst, 1), {})
+      .ok[0];
+}
+
 }  // namespace
 
 Verifier::Verifier(const PublicKey& pk)
@@ -288,71 +295,29 @@ bool Verifier::verify_tags(const storage::EncodedFile& file,
   return pairing::pairing_product_is_one(pairs);
 }
 
-bool Verifier::check_basic(const G1& chi, const Challenge& chal,
-                           const ProofBasic& proof) const {
-  // Eq. 1 rearranged to a product-of-pairings == 1 over the fixed key
-  // points, with e(-psi, delta * eps^{-r}) = e(-psi, delta) * e([r]psi, eps):
-  //   e(sigma, g2) * e([r]psi - y g1 - chi, eps) * e(-psi, delta) == 1.
-  std::array<pairing::PreparedPair, 3> pairs{
-      pairing::PreparedPair{proof.sigma, &g2_},
-      pairing::PreparedPair{
-          proof.psi.mul(chal.r) - curve::g1_mul_generator(proof.y) - chi,
-          &epsilon_},
-      pairing::PreparedPair{-proof.psi, &delta_},
-  };
-  return pairing::pairing_product_is_one(pairs);
-}
-
-bool Verifier::check_private(const G1& chi, const Challenge& chal,
-                             const ProofPrivate& proof) const {
-  Fr zeta = hash_gt_to_fr(proof.big_r);
-  // Eq. 2 rearranged the same way (all scalars on G1, fixed G2 points):
-  //   e(sigma^zeta, g2) * e([zeta r]psi - y' g1 - zeta chi, eps)
-  //     * e(-zeta psi, delta) == R^{-1}
-  G1 zeta_psi = proof.psi.mul(zeta);
-  std::array<pairing::PreparedPair, 3> pairs{
-      pairing::PreparedPair{proof.sigma.mul(zeta), &g2_},
-      pairing::PreparedPair{zeta_psi.mul(chal.r) -
-                                curve::g1_mul_generator(proof.y_prime) -
-                                chi.mul(zeta),
-                            &epsilon_},
-      pairing::PreparedPair{-zeta_psi, &delta_},
-  };
-  Fp12 lhs = pairing::multi_pairing(std::span<const pairing::PreparedPair>(pairs));
-  return (lhs * proof.big_r).is_one();
-}
-
+// The four wrappers list every SettlementInstance field in order:
+// {verifier, file, name, num_chunks, challenge, basic, priv}.
 bool Verifier::verify(const Fr& name, std::size_t num_chunks,
                       const Challenge& chal, const ProofBasic& proof) const {
-  if (num_chunks == 0 || chal.k == 0) return false;
-  ExpandedChallenge ex = expand_challenge(chal, num_chunks);
-  return check_basic(compute_chi(name, ex), chal, proof);
+  return settle_one({this, nullptr, name, num_chunks, chal, proof, {}});
 }
 
 bool Verifier::verify(const PreparedFile& file, const Challenge& chal,
                       const ProofBasic& proof) const {
-  if (file.num_chunks == 0 || chal.k == 0) return false;
-  ExpandedChallenge ex = expand_challenge(chal, file.num_chunks);
-  G1 chi = curve::msm_precomputed(file.hashes, ex.indices, ex.coefficients);
-  return check_basic(chi, chal, proof);
+  return settle_one(
+      {this, &file, file.name, file.num_chunks, chal, proof, {}});
 }
 
 bool Verifier::verify_private(const Fr& name, std::size_t num_chunks,
                               const Challenge& chal,
                               const ProofPrivate& proof) const {
-  if (num_chunks == 0 || chal.k == 0) return false;
-  if (proof.big_r.is_zero()) return false;
-  ExpandedChallenge ex = expand_challenge(chal, num_chunks);
-  return check_private(compute_chi(name, ex), chal, proof);
+  return settle_one({this, nullptr, name, num_chunks, chal, {}, proof});
 }
 
 bool Verifier::verify_private(const PreparedFile& file, const Challenge& chal,
                               const ProofPrivate& proof) const {
-  if (file.num_chunks == 0 || chal.k == 0) return false;
-  if (proof.big_r.is_zero()) return false;
-  ExpandedChallenge ex = expand_challenge(chal, file.num_chunks);
-  G1 chi = curve::msm_precomputed(file.hashes, ex.indices, ex.coefficients);
-  return check_private(chi, chal, proof);
+  return settle_one(
+      {this, &file, file.name, file.num_chunks, chal, {}, proof});
 }
 
 PreparedFile prepare_file(const Fr& name, std::size_t num_chunks) {
@@ -411,13 +376,11 @@ struct SettleTerms {
   const Verifier* v = nullptr;
 };
 
-/// rho_i = low `width` bytes of Keccak(seed || 'w' || i). The default 16
-/// bytes (128 bits) halve the full-scalar weighting work at a residual
-/// forgery probability of ~2^-128 per batch; the opt-in 8-byte mode
-/// (SettlementOptions::reduced_soundness_weights) halves it again at
-/// ~2^-64.
-Fr weight_at(const std::array<std::uint8_t, 32>& seed, std::uint64_t index,
-             std::size_t width) {
+/// rho_i = low 16 bytes of Keccak(seed || 'w' || i). 128-bit weights halve
+/// the full-scalar weighting work at a residual forgery probability of
+/// ~2^-128 per batch.
+Fr weight_at(const std::array<std::uint8_t, 32>& seed, std::uint64_t index) {
+  constexpr std::size_t kWidth = 16;
   std::array<std::uint8_t, 41> buf;
   std::memcpy(buf.data(), seed.data(), 32);
   buf[32] = 'w';
@@ -427,7 +390,7 @@ Fr weight_at(const std::array<std::uint8_t, 32>& seed, std::uint64_t index,
   auto h = primitives::Keccak256::hash(
       std::span<const std::uint8_t>(buf.data(), buf.size()));
   std::array<std::uint8_t, 32> wide{};
-  std::copy(h.begin(), h.begin() + width, wide.end() - width);
+  std::copy(h.begin(), h.begin() + kWidth, wide.end() - kWidth);
   return Fr::from_be_bytes_mod(std::span<const std::uint8_t, 32>(wide));
 }
 
@@ -439,11 +402,10 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   SettlementOutcome out;
   out.ok.assign(instances.size(), false);
   if (instances.empty()) return out;
-  const std::size_t weight_width = options.reduced_soundness_weights ? 8 : 16;
 
   // A single-instance batch settles by its exact check alone — skip the
-  // random-weight material entirely (this makes deferred settlement of a
-  // lone due round cost the same as the inline path).
+  // random-weight material entirely (one-instance settlement: Verifier::
+  // verify*, an unshared contract round, a lone due round in the engine).
   std::size_t plausible = 0;
   for (const SettlementInstance& inst : instances) {
     plausible += inst.verifier != nullptr &&
@@ -490,7 +452,7 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
             t.zeta = hash_gt_to_fr(p.big_r);
             t.gt = p.big_r;
           }
-          if (need_weights) t.rho = weight_at(weight_seed, i, weight_width);
+          if (need_weights) t.rho = weight_at(weight_seed, i);
           t.valid = true;
         }
       });
@@ -527,10 +489,13 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     out.aggregated_opening = curve::msm<G1>(agg_pts, agg_sc);
   }
 
-  // Exact unweighted check for one instance: materializes s/e/d with the
-  // same formulas (and the same multiplication sequence) the per-instance
-  // prep used before the weights were folded into the batch MSMs. Only paid
-  // at bisection leaves and single-instance batches.
+  // The one exact unweighted check of an audit equation (Eq. 1, or Eq. 2
+  // with zeta folded in), rearranged as a product of pairings over the
+  // fixed key points with e(-psi, delta * eps^{-r}) = e(-psi, delta) *
+  // e([r]psi, eps). It materializes s/e/d from the same components the
+  // batch check folds into its weighted MSMs, and is the reference that
+  // check is compared with at every bisection leaf. Only paid at bisection
+  // leaves and single-instance batches.
   auto check_single = [&out](const SettleTerms& t) {
     ++out.single_checks;
     G1 s, e, d;
@@ -633,11 +598,6 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
       };
   settle(0, idx.size());
   return out;
-}
-
-SettlementOutcome verify_settlement(std::span<const SettlementInstance> instances,
-                                    const std::array<std::uint8_t, 32>& weight_seed) {
-  return verify_settlement(instances, weight_seed, SettlementOptions{});
 }
 
 std::array<std::uint8_t, 32> derive_settlement_seed(

@@ -108,12 +108,12 @@ struct PreparedFile {
 PreparedFile prepare_file(const Fr& name, std::size_t num_chunks);
 
 /// The prepared verification engine for one public key: caches the Miller
-/// line tables of the three fixed G2 points (g2, epsilon, delta) once and
-/// routes all four audit checks through them. Every verification equation is
-/// rearranged with e(-psi, delta * eps^{-r}) = e(-psi, delta) * e([r]psi,
-/// eps), which moves the per-round challenge scalar to the cheap G1 side —
-/// so no check ever pairs against a fresh G2 point or performs a G2 scalar
-/// multiplication. This is the object a contract (or any service auditing
+/// line tables of the three fixed G2 points (g2, epsilon, delta) once, and
+/// verify_settlement pairs every audit check of this key against them. Every
+/// verification equation is rearranged with e(-psi, delta * eps^{-r}) =
+/// e(-psi, delta) * e([r]psi, eps), which moves the per-round challenge
+/// scalar to the cheap G1 side — so no check ever pairs against a fresh G2
+/// point or performs a G2 scalar multiplication. This is the object a contract (or any service auditing
 /// many rounds against one key) should hold for its lifetime.
 ///
 /// Borrows the PublicKey — the caller keeps it alive and at a stable
@@ -127,15 +127,18 @@ class Verifier {
   /// S's tag-acceptance check (see free verify_tags below).
   bool verify_tags(const storage::EncodedFile& file, const FileTag& tag) const;
 
-  /// The smart contract's Eq. 1 check (3 prepared pairings, shared
-  /// squarings, one final exp).
+  /// The smart contract's Eq. 1 check as one-instance settlement: a
+  /// single-element verify_settlement, which takes the exact check (3
+  /// prepared pairings, shared squarings, one final exp) and draws no
+  /// weights.
   bool verify(const Fr& name, std::size_t num_chunks, const Challenge& chal,
               const ProofBasic& proof) const;
   /// Same check against a prepared per-file context (cached hash table).
   bool verify(const PreparedFile& file, const Challenge& chal,
               const ProofBasic& proof) const;
 
-  /// The smart contract's Eq. 2 check (§V-D step 2).
+  /// The smart contract's Eq. 2 check (§V-D step 2), one-instance
+  /// settlement like verify.
   bool verify_private(const Fr& name, std::size_t num_chunks,
                       const Challenge& chal, const ProofPrivate& proof) const;
   bool verify_private(const PreparedFile& file, const Challenge& chal,
@@ -160,12 +163,6 @@ class Verifier {
   const std::array<std::uint8_t, 32>& key_id() const { return key_id_; }
 
  private:
-  /// Eq. 1 / Eq. 2 pairing checks with chi already aggregated.
-  bool check_basic(const G1& chi, const Challenge& chal,
-                   const ProofBasic& proof) const;
-  bool check_private(const G1& chi, const Challenge& chal,
-                     const ProofPrivate& proof) const;
-
   const PublicKey& pk_;
   pairing::G2Prepared g2_;       // generator
   pairing::G2Prepared epsilon_;  // g2^x
@@ -218,14 +215,6 @@ struct SettlementOutcome {
 
 /// Engine knobs for verify_settlement.
 struct SettlementOptions {
-  /// Soundness-budget gate: the default random weights are 128 bits, leaving
-  /// a residual forgery probability of ~2^-128 per batch. Setting this flag
-  /// truncates them to 64 bits — halving the weighting MSM scalar lengths
-  /// and the GT multi-exponentiation chain — at ~2^-64 per batch. That is
-  /// still far below any economic attack threshold for per-round escrow
-  /// stakes, but it is a protocol-level soundness decision, so it must be
-  /// opted into explicitly rather than defaulted.
-  bool reduced_soundness_weights = false;
   /// Also compute SettlementOutcome::aggregated_opening (one extra G1 MSM
   /// over the batch). Off by default so legacy settlement paths stay
   /// bit-and-cost identical; BatchSettlement turns it on when it posts
@@ -234,8 +223,9 @@ struct SettlementOptions {
 };
 
 /// Settles any mix of Eq. 1 / Eq. 2 rounds spanning files, keys and
-/// contracts in (nearly) one verification: every instance's pairing equation
-/// is scaled by a random weight (128-bit by default; see SettlementOptions)
+/// contracts in (nearly) one verification, and is the only place an audit
+/// equation is evaluated: every instance's pairing equation is scaled by a
+/// random 128-bit weight (residual forgery probability ~2^-128 per batch)
 /// derived from `weight_seed` and the instance position, and all terms
 /// aggregate per fixed G2 point — the generator term is shared globally,
 /// epsilon/delta per distinct key, so a clean batch costs exactly
@@ -245,7 +235,10 @@ struct SettlementOptions {
 /// one shared-squaring GT multi-exponentiation (Fp12::multi_pow) instead of
 /// a per-round GT ladder. When the combined check fails, the batch is
 /// bisected recursively so each culprit is isolated by exact per-round
-/// checks — honest rounds in the same block always settle Pass.
+/// checks — honest rounds in the same block always settle Pass. A batch
+/// with one plausible instance takes that exact check directly (3 chains,
+/// one final exp) and never draws weights, so its seed is unused: this is
+/// how Verifier::verify* and an unshared contract round settle.
 ///
 /// Deterministic in (instances, weight_seed, options) at every thread
 /// count. The caller must use a FRESH weight_seed per batch (derive it from
@@ -253,9 +246,7 @@ struct SettlementOptions {
 /// an adversary has seen would let them craft cancelling forgeries.
 SettlementOutcome verify_settlement(std::span<const SettlementInstance> instances,
                                     const std::array<std::uint8_t, 32>& weight_seed,
-                                    const SettlementOptions& options);
-SettlementOutcome verify_settlement(std::span<const SettlementInstance> instances,
-                                    const std::array<std::uint8_t, 32>& weight_seed);
+                                    const SettlementOptions& options = {});
 
 /// The canonical window weight seed: Keccak(nonce || boundary || every
 /// round's 32-byte transcript, in the window's canonical transcript-sorted

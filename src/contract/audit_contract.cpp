@@ -268,48 +268,38 @@ void AuditContract::on_challenge_due(Timestamp /*now*/) {
 void AuditContract::prepare_verify(Timestamp /*now*/) {
   if (state_ != State::Prove || !pending_proof_) return;
   auto t0 = std::chrono::steady_clock::now();
+  // Decode once at the typed boundary (cheap, concurrent): a malformed proof
+  // never reaches a pairing — it fails this round immediately.
+  audit::SettlementInstance inst;
+  inst.verifier = verifier_;
+  inst.file = file_ctx_;  // null => the engine recomputes chunk hashes
+  inst.name = file_name_;
+  inst.num_chunks = num_chunks_;
+  inst.challenge = rounds_.back().challenge;
+  if (terms_.private_proofs) {
+    inst.priv = audit::decode_private(*pending_proof_).value;
+  } else {
+    inst.basic = audit::decode_basic(*pending_proof_).value;
+  }
   StagedVerify staged;
-  if (batch_) {
-    // Deferred settlement: deserialize here (cheap, concurrent) and hand the
-    // round to the shared block batch; the expensive verification happens
-    // once per instant, for every due round together. A malformed proof
-    // never reaches the batch — it fails this round immediately.
-    audit::SettlementInstance inst;
-    inst.verifier = verifier_;
-    inst.file = file_ctx_;  // null => the engine recomputes chunk hashes
-    inst.name = file_name_;
-    inst.num_chunks = num_chunks_;
-    inst.challenge = rounds_.back().challenge;
-    if (terms_.private_proofs) {
-      inst.priv = audit::deserialize_private(*pending_proof_);
-    } else {
-      inst.basic = audit::deserialize_basic(*pending_proof_);
-    }
-    if (inst.basic || inst.priv) {
+  if (inst.basic || inst.priv) {
+    if (batch_) {
+      // Shared engine: the expensive verification happens once per
+      // instant (or window), for every due round together.
       staged.ticket =
           batch_->enqueue(chain_, std::move(inst), round_transcript());
+    } else {
+      // Unshared: one-instance settlement right here, inside the
+      // concurrent prepare (the exact check; no weights, so no seed).
+      staged.outcome.ok =
+          audit::verify_settlement(
+              std::span<const audit::SettlementInstance>(&inst, 1), {})
+              .ok[0];
     }
-  } else if (terms_.private_proofs) {
-    auto proof = audit::deserialize_private(*pending_proof_);
-    staged.ok = proof &&
-                (file_ctx_
-                     ? verifier_->verify_private(*file_ctx_,
-                                                 rounds_.back().challenge, *proof)
-                     : verifier_->verify_private(file_name_, num_chunks_,
-                                                 rounds_.back().challenge,
-                                                 *proof));
-  } else {
-    auto proof = audit::deserialize_basic(*pending_proof_);
-    staged.ok =
-        proof &&
-        (file_ctx_
-             ? verifier_->verify(*file_ctx_, rounds_.back().challenge, *proof)
-             : verifier_->verify(file_name_, num_chunks_,
-                                 rounds_.back().challenge, *proof));
   }
-  staged.verify_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+  staged.outcome.flush_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
   staged_verify_ = staged;
 }
 
@@ -364,32 +354,29 @@ void AuditContract::on_verify_due(Timestamp now) {
     return;
   }
   if (!staged_verify_) prepare_verify(now);
-  if (staged_verify_->ticket) {
-    const BatchSettlement::Ticket ticket = *staged_verify_->ticket;
-    staged_verify_.reset();
-    pending_proof_.reset();
-    if (auto res = batch_->try_outcome(ticket, now)) {
-      // Per-instant window: the batch flushed between this instant's
-      // prepares and actions (or flushes on demand, on direct-call paths).
-      finalize_proved(*res);
-    } else {
-      // Windowed settlement: the batch stays open until the window
-      // boundary; redeem the ticket there. The flush hook runs before any
-      // action of that instant, so the outcome is ready when this fires.
-      // A provider exit can close the contract (aborting this round) before
-      // the boundary — a dead round must not settle.
-      chain_.schedule(ticket.settle_at, [this, ticket](Timestamp) {
-        if (state_ != State::Prove) return;
-        finalize_proved(batch_->outcome(ticket));
-      });
-    }
-    return;
-  }
-  const BatchSettlement::Outcome inline_res{staged_verify_->ok, 1,
-                                            staged_verify_->verify_ms};
+  const StagedVerify staged = *staged_verify_;
   staged_verify_.reset();
   pending_proof_.reset();
-  finalize_proved(inline_res);
+  // A round settled in the prepare is final. A ticket redeems now when its
+  // batch flushed between this instant's prepares and actions (per-instant
+  // window), or flushes on demand (direct-call paths).
+  const std::optional<BatchSettlement::Outcome> res =
+      staged.ticket ? batch_->try_outcome(*staged.ticket, now)
+                    : staged.outcome;
+  if (res) {
+    finalize_proved(*res);
+    return;
+  }
+  // Windowed settlement: the batch stays open until the window boundary;
+  // redeem the ticket there. The flush hook runs before any action of that
+  // instant, so the outcome is ready when this fires. A provider exit can
+  // close the contract (aborting this round) before the boundary — a dead
+  // round must not settle.
+  const BatchSettlement::Ticket ticket = *staged.ticket;
+  chain_.schedule(ticket.settle_at, [this, ticket](Timestamp) {
+    if (state_ != State::Prove) return;
+    finalize_proved(batch_->outcome(ticket));
+  });
 }
 
 void AuditContract::prepare_retry(Timestamp /*now*/) {

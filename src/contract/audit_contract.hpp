@@ -76,11 +76,11 @@ struct ContractTerms {
   std::uint64_t penalty_per_fail = 0;  // compensation to D per failed round
   std::size_t challenged_chunks = 300; // k (§VI-A default: 95% confidence)
   bool private_proofs = true;          // Eq. 2 (288 B) vs Eq. 1 (96 B)
-  /// With deferred settlement: price prove-txs by the calibrated batched
-  /// row (econ::AuditCostModel::gas_per_audit_batched at the block's actual
-  /// batch size) instead of the flat per-round constant. Off by default so
-  /// batched and inline settlement stay bit-identical unless the discount
-  /// is explicitly priced in.
+  /// Price prove-txs by the calibrated batched row
+  /// (econ::AuditCostModel::gas_per_audit_batched at the settled batch's
+  /// actual size; 1 for unshared settlement) instead of the flat per-round
+  /// constant. Off by default so shared and unshared settlement stay
+  /// bit-identical unless the discount is explicitly priced in.
   bool batch_gas_discount = false;
   /// Requeue-with-bounded-retry: a round whose proof misses the response
   /// window is re-attempted up to this many times — at the next settlement
@@ -199,12 +199,15 @@ class AuditContract {
   using RoundCallback = std::function<void(const RoundRecord&)>;
   void set_on_round(RoundCallback cb) { on_round_ = std::move(cb); }
 
-  /// Deferred-settlement mode: this contract's due rounds queue into `batch`
+  /// Shared settlement: this contract's due rounds queue into `batch`
   /// (shared across contracts) and settle together with every round due at
-  /// the same chain instant — 3 pairings per block per distinct key instead
-  /// of 3 per round. Outcomes, payouts and chain state are identical to
-  /// inline settlement; terms.batch_gas_discount optionally prices the
-  /// amortization. The BatchSettlement must outlive the contract.
+  /// the same chain instant or window — 3 pairings per block per distinct
+  /// key instead of 3 per round. Without a shared engine each round settles
+  /// alone as a one-instance verify_settlement inside its concurrent
+  /// prepare. Both routes decode once and reach the same equation, so
+  /// outcomes, payouts and chain state are identical;
+  /// terms.batch_gas_discount optionally prices the amortization. The
+  /// BatchSettlement must outlive the contract.
   void enable_deferred_settlement(BatchSettlement& batch) { batch_ = &batch; }
 
   // --- inspection -----------------------------------------------------------
@@ -249,8 +252,9 @@ class AuditContract {
   void prepare_retry(Timestamp now);
   void on_retry_due(Timestamp now);
   /// Tail of a proved round (prove tx, gas, payout) once its outcome is
-  /// known — inline, same-instant batched, or redeemed at a later window
-  /// boundary (windowed settlement defers redemption to Ticket::settle_at).
+  /// known — settled in the prepare, by the shared engine at this instant,
+  /// or redeemed at a later window boundary (windowed settlement defers
+  /// redemption to Ticket::settle_at).
   void finalize_proved(const BatchSettlement::Outcome& outcome);
   /// Round bookkeeping shared by every outcome path: bump the counter,
   /// close at the horizon or schedule the next challenge on the original
@@ -324,10 +328,10 @@ class AuditContract {
   };
   std::optional<StagedChallenge> staged_challenge_;
   struct StagedVerify {
-    bool ok = false;
-    double verify_ms = 0;
-    // Deferred mode: the round sits in the shared batch instead; the action
-    // redeems this ticket for its outcome.
+    // Settled in the prepare — one-instance settlement without a shared
+    // engine, or a proof that failed decoding...
+    BatchSettlement::Outcome outcome{.batch_size = 1};
+    // ...or queued in the shared engine: the action redeems this ticket.
     std::optional<BatchSettlement::Ticket> ticket;
   };
   std::optional<StagedVerify> staged_verify_;

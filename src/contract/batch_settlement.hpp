@@ -2,15 +2,18 @@
 // verification cost into per-block (and, with a settlement window, per-
 // multi-block) cost.
 //
-// Contracts in deferred mode hand their due rounds here from their prepare
+// Contracts sharing this engine hand their due rounds here from their prepare
 // stages (which the Blockchain runs concurrently across contracts); the
 // settlement sorts the batch canonically, derives a fresh Fiat–Shamir weight
 // seed from the batch transcript, and verifies the whole set as one weighted
 // multi-pairing (audit::verify_settlement — 1 + 2·keys pairings, bisection
 // isolating any culprits) in the Blockchain's between-prepares-and-actions
 // hook. Each contract's action then redeems its ticket sequentially in
-// schedule order, so ledger, gas and event ordering are identical to inline
-// settlement at every thread count.
+// schedule order, so ledger, gas and event ordering are identical to
+// unshared settlement (each contract settling its round alone as a
+// one-instance audit::verify_settlement) at every thread count. Both routes
+// evaluate the audit equation in the same place — verify_settlement's
+// exact check — so a lone round costs the same either way.
 //
 // With a settlement window configured on the chain
 // (ChainConfig::settlement_window_s > 1), the batch stays open across chain

@@ -63,9 +63,12 @@ struct NetworkConfig {
   std::uint64_t penalty_per_fail = 25;
   std::size_t challenged_chunks = 8;
   bool private_proofs = true;
-  /// Settle every round due at one chain instant as a single batch
-  /// (contract::BatchSettlement): same outcomes, ledger and chain state as
-  /// inline settlement, block-level verification cost.
+  /// Settle every round due at one chain instant as a single batch through
+  /// one shared contract::BatchSettlement: same outcomes, ledger and chain
+  /// state as unshared settlement, block-level verification cost. Off, each
+  /// contract settles its round alone, immediately, as a one-instance
+  /// audit::verify_settlement inside the concurrent prepare — the reference
+  /// the shared engine is pinned bit-identical to.
   bool batched_settlement = false;
   /// With batched settlement: price prove-txs by the calibrated batch
   /// discount row instead of the flat per-round gas constant.

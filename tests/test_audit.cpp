@@ -398,8 +398,8 @@ TEST(AuditWire, ProofRoundTrip) {
 
   ProofBasic basic = prover.prove(chal);
   auto basic_bytes = serialize(basic);
-  auto basic2 = deserialize_basic(basic_bytes);
-  ASSERT_TRUE(basic2.has_value());
+  auto basic2 = decode_basic(basic_bytes);
+  ASSERT_TRUE(basic2.ok());
   EXPECT_EQ(basic2->sigma, basic.sigma);
   EXPECT_EQ(basic2->y, basic.y);
   EXPECT_EQ(basic2->psi, basic.psi);
@@ -407,18 +407,19 @@ TEST(AuditWire, ProofRoundTrip) {
 
   ProofPrivate priv = prover.prove_private(chal, rng);
   auto priv_bytes = serialize(priv);
-  auto priv2 = deserialize_private(priv_bytes);
-  ASSERT_TRUE(priv2.has_value());
+  auto priv2 = decode_private(priv_bytes);
+  ASSERT_TRUE(priv2.ok());
   EXPECT_EQ(priv2->big_r, priv.big_r);
   EXPECT_TRUE(verify_private(sc.kp.pk, sc.name, sc.file.num_chunks(), chal, *priv2));
 }
 
 TEST(AuditWire, MalformedProofRejected) {
   std::vector<std::uint8_t> junk(96, 0xff);
-  EXPECT_FALSE(deserialize_basic(junk).has_value());
-  EXPECT_FALSE(deserialize_basic(std::vector<std::uint8_t>(95)).has_value());
+  EXPECT_EQ(decode_basic(junk).error, DecodeError::BadPoint);
+  EXPECT_EQ(decode_basic(std::vector<std::uint8_t>(95)).error,
+            DecodeError::BadLength);
   std::vector<std::uint8_t> junk288(288, 0xff);
-  EXPECT_FALSE(deserialize_private(junk288).has_value());
+  EXPECT_EQ(decode_private(junk288).error, DecodeError::BadPoint);
 }
 
 TEST(AuditWire, GtCompressionRoundTrip) {
@@ -471,30 +472,30 @@ TEST(AuditWire, TamperedProofAndKeyEncodingsRejected) {
   auto y_tampered = serialize(prover.prove(chal));
   Fr::modulus().to_be_bytes(
       std::span<std::uint8_t, 32>(y_tampered.data() + 32, 32));
-  EXPECT_FALSE(deserialize_basic(y_tampered).has_value());
+  EXPECT_EQ(decode_basic(y_tampered).error, DecodeError::NonCanonicalScalar);
 
   // big_r replaced by a unit-norm element outside GT.
   auto priv_bytes = serialize(prover.prove_private(chal, rng));
   Fp12 f = Fp12::random(rng);
   auto bad_r = gt_compress(f.conjugate() * f.inverse());
   std::copy(bad_r.begin(), bad_r.end(), priv_bytes.begin() + 96);
-  EXPECT_FALSE(deserialize_private(priv_bytes).has_value());
+  EXPECT_EQ(decode_private(priv_bytes).error, DecodeError::BadGtElement);
 
   // Public keys: s = 0, an infinity epsilon, and a non-GT e(g1, eps) all
-  // fail to deserialize.
+  // fail to decode.
   auto pk_bytes = serialize(sc.kp.pk, true);
   auto zero_s = pk_bytes;
   std::fill(zero_s.begin(), zero_s.begin() + 8, std::uint8_t{0});
-  EXPECT_FALSE(deserialize_public_key(zero_s).has_value());
+  EXPECT_EQ(decode_public_key(zero_s).error, DecodeError::ZeroForbidden);
 
   auto inf_eps = pk_bytes;
   std::fill(inf_eps.begin() + 8, inf_eps.begin() + 72, std::uint8_t{0});
   inf_eps[8] = 0x80;  // valid infinity encoding, invalid key component
-  EXPECT_FALSE(deserialize_public_key(inf_eps).has_value());
+  EXPECT_EQ(decode_public_key(inf_eps).error, DecodeError::ZeroForbidden);
 
   auto bad_gt_pk = pk_bytes;
   std::copy(bad_r.begin(), bad_r.end(), bad_gt_pk.end() - 192);
-  EXPECT_FALSE(deserialize_public_key(bad_gt_pk).has_value());
+  EXPECT_EQ(decode_public_key(bad_gt_pk).error, DecodeError::BadGtElement);
 }
 
 TEST(AuditWire, PublicKeyRoundTripAndFig4Sizes) {
@@ -504,8 +505,8 @@ TEST(AuditWire, PublicKeyRoundTripAndFig4Sizes) {
     for (bool priv : {false, true}) {
       auto bytes = serialize(kp.pk, priv);
       EXPECT_EQ(bytes.size(), kp.pk.serialized_size(priv));
-      auto back = deserialize_public_key(bytes);
-      ASSERT_TRUE(back.has_value());
+      auto back = decode_public_key(bytes);
+      ASSERT_TRUE(back.ok());
       EXPECT_EQ(back->s, s);
       EXPECT_EQ(back->epsilon, kp.pk.epsilon);
       EXPECT_EQ(back->delta, kp.pk.delta);

@@ -9,6 +9,7 @@
 #include "contract/audit_contract.hpp"
 #include "contract/tx_format.hpp"
 #include "econ/cost_model.hpp"
+#include "pairing/pairing.hpp"
 
 namespace dsaudit::contract {
 namespace {
@@ -411,6 +412,54 @@ TEST(Contract, NonPrivateGasIsDeterministicToo) {
     EXPECT_EQ(r.proof_bytes, 96u);
     EXPECT_EQ(r.gas_used, expected);
   }
+}
+
+TEST(Contract, UnsharedRoundSettlesOnTheSpot) {
+  // Owning constructor, no shared engine: the round decodes once and
+  // settles as a one-instance verify_settlement inside its prepare. Only
+  // the settlement's pairing work is counted (the counters reset after
+  // keygen and contract setup).
+  struct Run {
+    RoundOutcome outcome;
+    pairing::PairingCounters counters;
+  };
+  auto run = [](const std::function<void(std::vector<std::uint8_t>&)>& edit) {
+    ContractTerms terms = default_terms();
+    terms.num_audits = 1;
+    World w(terms);
+    auto honest = w.honest_responder(true);
+    w.contract->set_responder([&](const audit::Challenge& chal) {
+      auto proof = honest(chal);
+      edit(*proof);
+      return proof;
+    });
+    w.contract->negotiated();
+    w.contract->acked(true);
+    w.contract->freeze();
+    pairing::reset_pairing_counters();
+    w.chain.advance(2 * terms.audit_period_s);
+    EXPECT_EQ(w.contract->state(), State::Closed);
+    return Run{w.contract->rounds().back().outcome, pairing::pairing_counters()};
+  };
+
+  const Run honest = run([](std::vector<std::uint8_t>&) {});
+  EXPECT_EQ(honest.outcome, RoundOutcome::Pass);
+  EXPECT_EQ(honest.counters.chains, 3u);
+  EXPECT_EQ(honest.counters.final_exps, 1u);
+
+  // One flipped bit in the low byte of y' keeps the encoding canonical, so
+  // the round reaches the equation and fails there.
+  const Run flipped = run([](std::vector<std::uint8_t>& p) { p[63] ^= 0x01; });
+  EXPECT_EQ(flipped.outcome, RoundOutcome::Fail);
+  EXPECT_EQ(flipped.counters.chains, 3u);
+
+  // y' >= r is refused at the typed decode boundary: no pairing work.
+  const Run undecodable = run([](std::vector<std::uint8_t>& p) {
+    std::fill(p.begin() + 32, p.begin() + 64, std::uint8_t{0xff});
+  });
+  EXPECT_EQ(undecodable.outcome, RoundOutcome::Fail);
+  EXPECT_EQ(undecodable.counters.chains, 0u);
+  EXPECT_EQ(undecodable.counters.final_exps, 0u);
 }
 
 TEST(Contract, ChallengesAreUnpredictableAcrossRounds) {

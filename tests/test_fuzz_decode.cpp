@@ -261,18 +261,17 @@ TEST_F(FuzzDecode, RejectionReasonsAreTyped) {
   }
 }
 
-// The legacy nullopt wrappers share the typed boundary: anything decode_*
-// refuses, deserialize_* refuses too (no second, laxer parser to attack).
-TEST_F(FuzzDecode, LegacyWrappersShareTheBoundary) {
+// decode_* is the only parser, and every result carries exactly one of a
+// value or a reason: an accepted mutation reports None, a refused one a
+// typed error.
+TEST_F(FuzzDecode, EveryResultCarriesExactlyOneOfValueOrReason) {
   for (const auto& m : attack::corpus::proof_mutations(valid_private_)) {
-    EXPECT_EQ(deserialize_private(m.bytes).has_value(),
-              decode_private(m.bytes).ok())
-        << m.label;
+    const auto res = decode_private(m.bytes);
+    EXPECT_EQ(res.ok(), res.error == DecodeError::None) << m.label;
   }
   for (const auto& m : attack::corpus::file_tag_mutations(valid_tag_)) {
-    EXPECT_EQ(deserialize_file_tag(m.bytes).has_value(),
-              decode_file_tag(m.bytes).ok())
-        << m.label;
+    const auto res = decode_file_tag(m.bytes);
+    EXPECT_EQ(res.ok(), res.error == DecodeError::None) << m.label;
   }
 }
 

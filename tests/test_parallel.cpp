@@ -231,8 +231,8 @@ TEST(ParallelDifferential, ProverEmitsIdenticalProofBytes) {
         auto proof_rng = SecureRng::deterministic(703);
         r.priv = audit::serialize(prover.prove_private(chal, proof_rng));
         audit::Verifier verifier(kp.pk);
-        auto basic = audit::deserialize_basic(r.basic);
-        auto priv = audit::deserialize_private(r.priv);
+        auto basic = audit::decode_basic(r.basic);
+        auto priv = audit::decode_private(r.priv);
         r.basic_ok = basic && verifier.verify(name, file.num_chunks(), chal, *basic);
         r.priv_ok =
             priv && verifier.verify_private(name, file.num_chunks(), chal, *priv);

@@ -376,34 +376,67 @@ TEST(Settlement, MixedShapeWindowPairingCountAcrossKeys) {
   }
 }
 
-TEST(Settlement, ReducedSoundnessWeightsAreGatedAndWork) {
-  // The 64-bit-weight mode: explicit opt-in, settles honest windows, still
-  // catches tampering (residual soundness ~2^-64 per batch).
+TEST(Settlement, OneInstanceSettlementIsTheExactCheck) {
+  // Every Verifier::verify* call and every round of a contract without a
+  // shared engine settles as a one-element verify_settlement: the exact
+  // check alone (no weighted batch check), 3 Miller chains and 1 final exp,
+  // and the same verdict as the Verifier wrappers.
   auto rng = SecureRng::deterministic(912);
   Scenario sc = make_scenario(3000, 5, rng);
   Verifier verifier(sc.kp.pk);
   PreparedFile ctx = audit::prepare_file(sc.name, sc.file.num_chunks());
   Prover prover(sc.kp.pk, sc.file, sc.tag);
+  const std::array<const PreparedFile*, 2> files{&ctx, nullptr};
 
-  std::vector<SettlementInstance> instances(6);
-  for (auto& inst : instances) {
-    inst.verifier = &verifier;
-    inst.file = &ctx;
-    inst.challenge = make_challenge(rng, 4);
-    inst.priv = prover.prove_private(inst.challenge, rng);
-  }
-  audit::SettlementOptions reduced;
-  reduced.reduced_soundness_weights = true;
-  auto seed = seed_of(rng);
-  EXPECT_TRUE(audit::verify_settlement(instances, seed, reduced).all_ok());
-  // Same batch, same seed, default soundness: also clean (the width only
-  // changes the weights, not the verdicts).
-  EXPECT_TRUE(audit::verify_settlement(instances, seed).all_ok());
+  auto settle_one = [&](const SettlementInstance& inst) -> bool {
+    pairing::reset_pairing_counters();
+    SettlementOutcome out = audit::verify_settlement(
+        std::span<const SettlementInstance>(&inst, 1), seed_of(rng));
+    const auto counters = pairing::pairing_counters();
+    EXPECT_EQ(out.batch_checks, 0u);
+    EXPECT_EQ(out.single_checks, 1u);
+    EXPECT_EQ(counters.chains, 3u);
+    EXPECT_EQ(counters.final_exps, 1u);
+    return out.ok[0];
+  };
+  auto wrapper = [&](const SettlementInstance& inst) -> bool {
+    if (inst.basic) {
+      return inst.file ? verifier.verify(*inst.file, inst.challenge, *inst.basic)
+                       : verifier.verify(inst.name, inst.num_chunks,
+                                         inst.challenge, *inst.basic);
+    }
+    return inst.file
+               ? verifier.verify_private(*inst.file, inst.challenge, *inst.priv)
+               : verifier.verify_private(inst.name, inst.num_chunks,
+                                         inst.challenge, *inst.priv);
+  };
 
-  instances[4].priv->psi = -instances[4].priv->psi;
-  SettlementOutcome out = audit::verify_settlement(instances, seed_of(rng), reduced);
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    EXPECT_EQ(out.ok[i], i != 4) << i;
+  for (bool is_private : {false, true}) {
+    for (const PreparedFile* file : files) {
+      SCOPED_TRACE(std::string(is_private ? "private" : "basic") +
+                   (file ? " prepared" : " cold"));
+      SettlementInstance inst;
+      inst.verifier = &verifier;
+      inst.file = file;
+      inst.name = sc.name;
+      inst.num_chunks = sc.file.num_chunks();
+      inst.challenge = make_challenge(rng, 4);
+      if (is_private) {
+        inst.priv = prover.prove_private(inst.challenge, rng);
+      } else {
+        inst.basic = prover.prove(inst.challenge);
+      }
+      EXPECT_TRUE(settle_one(inst));
+      EXPECT_TRUE(wrapper(inst));
+
+      if (is_private) {
+        inst.priv->y_prime += Fr::one();
+      } else {
+        inst.basic->y += Fr::one();
+      }
+      EXPECT_FALSE(settle_one(inst));
+      EXPECT_FALSE(wrapper(inst));
+    }
   }
 }
 
