@@ -418,18 +418,9 @@ void BM_GtPowCyclotomic(benchmark::State& state) {
 }
 BENCHMARK(BM_GtPowCyclotomic);
 
-/// Same exponent through the Karabina compressed squaring chain.
-void BM_GtPowKarabina(benchmark::State& state) {
-  ff::Fp12 g = pairing::pairing(curve::g1_random(rng()), curve::g2_random(rng()));
-  auto e = ff::Fr::random(rng()).to_u256();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(g.cyclotomic_pow_compressed(e));
-  }
-}
-BENCHMARK(BM_GtPowKarabina);
-
-/// The settlement weights' shape, shared by both multi-exp benchmarks so
-/// their ratio (the README speedup table) always compares like for like:
+/// The settlement weights' shape, shared by the multi-exp and naive-ladder
+/// benchmarks so their ratio (the README speedup table) always compares like
+/// for like:
 /// n random GT elements with dense 128-bit exponents.
 std::pair<std::vector<ff::Fp12>, std::vector<ff::U256>> gt_multipow_inputs(
     std::size_t n) {
@@ -444,7 +435,8 @@ std::pair<std::vector<ff::Fp12>, std::vector<ff::U256>> gt_multipow_inputs(
 }
 
 /// GT multi-exponentiation through the shared-squaring engine; items/sec is
-/// per-element throughput.
+/// per-element throughput. n = 1 is the single-base path every GT power in
+/// the library takes.
 void BM_GtMultiPow(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   auto [bases, exps] = gt_multipow_inputs(n);
@@ -453,20 +445,7 @@ void BM_GtMultiPow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_GtMultiPow)->Arg(2)->Arg(8)->Arg(64);
-
-/// The unsigned-window Straus engine on the same inputs: full-size tables,
-/// no conjugate trick. The delta against BM_GtMultiPow is what the
-/// signed-digit recoding buys.
-void BM_GtMultiPowUnsigned(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto [bases, exps] = gt_multipow_inputs(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ff::Fp12::multi_pow_unsigned(bases, exps));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_GtMultiPowUnsigned)->Arg(2)->Arg(8)->Arg(64);
+BENCHMARK(BM_GtMultiPow)->Arg(1)->Arg(2)->Arg(8)->Arg(64);
 
 /// The naive baseline for the same shape: n independent 128-bit ladders
 /// (what verify_settlement paid per round before the multi-exp reroute).

@@ -183,9 +183,11 @@ ProofPrivate Prover::prove_private(const Challenge& chal,
   // Sigma-protocol hiding (§V-D step 1): commit R = e(g1, eps)^z, derive the
   // challenge-independent mask zeta = H'(R), publish y' = zeta*y + z.
   Fr z = Fr::random(rng);
-  // e(g1, eps) is a GT element, so the Karabina compressed squaring chain
-  // applies (same value as the plain cyclotomic ladder).
-  Fp12 big_r = pk_.e_g1_epsilon.cyclotomic_pow_compressed(z.to_u256());
+  // e(g1, eps) is a GT element, so the GT engine's cyclotomic squarings
+  // apply (same value as the plain cyclotomic ladder).
+  const bigint::U256 z_bits = z.to_u256();
+  Fp12 big_r = Fp12::multi_pow(std::span<const Fp12>(&pk_.e_g1_epsilon, 1),
+                               std::span<const bigint::U256>(&z_bits, 1));
   Fr zeta = hash_gt_to_fr(big_r);
   Fr y_prime = zeta * c.y + z;
   if (timings) timings->gt_ms = ms_since(t0);

@@ -19,6 +19,13 @@ using ff::Fp6;
 using bigint::u128;
 using bigint::VarUInt;
 
+/// g^e through the one GT exponentiation engine, over a one-element span.
+/// Cyclotomic-subgroup inputs only.
+Fp12 gt_pow(const Fp12& g, const ff::U256& e) {
+  return Fp12::multi_pow(std::span<const Fp12>(&g, 1),
+                         std::span<const ff::U256>(&e, 1));
+}
+
 /// Affine point on the twist (Fp2 coordinates), never infinity inside the
 /// Miller loop for valid inputs of prime order r.
 struct TwistPoint {
@@ -341,15 +348,15 @@ Fp12 final_exponentiation(const Fp12& f) {
   // (the same structure as go-ethereum's bn256 finalExponentiation). All
   // values here live in the cyclotomic subgroup — the easy part put elt
   // there, and Frobenius maps, conjugates and products stay inside — so the
-  // three exponentiations by the BN parameter run their squaring chains in
-  // Karabina compressed form (one batched decompression inversion each).
-  const ff::u64 u = ff::kBnParamT;
+  // three exponentiations by the BN parameter run on the signed-window GT
+  // engine with cyclotomic squarings.
+  const ff::U256 u{ff::kBnParamT};
   Fp12 fp = elt.frobenius();
   Fp12 fp2 = elt.frobenius2();
   Fp12 fp3 = fp2.frobenius();
-  Fp12 fu = elt.cyclotomic_pow_compressed(u);
-  Fp12 fu2 = fu.cyclotomic_pow_compressed(u);
-  Fp12 fu3 = fu2.cyclotomic_pow_compressed(u);
+  Fp12 fu = gt_pow(elt, u);
+  Fp12 fu2 = gt_pow(fu, u);
+  Fp12 fu3 = gt_pow(fu2, u);
   Fp12 y3 = fu.frobenius().conjugate();
   Fp12 fu2p = fu2.frobenius();
   Fp12 fu3p = fu3.frobenius();
@@ -433,9 +440,9 @@ bool gt_in_subgroup(const Fp12& g) {
   Fp12 gp2 = g.frobenius2();
   Fp12 gp4 = gp2.frobenius2();
   if (!(gp4 * g == gp2)) return false;
-  // Inside the cyclotomic subgroup the compressed squaring chain is valid,
-  // so the order-r check costs ~254 Karabina compressed squarings.
-  return g.cyclotomic_pow_compressed(ff::Fr::modulus()).is_one();
+  // Inside the cyclotomic subgroup the GT engine's cyclotomic squarings are
+  // valid, so the order-r check costs ~254 of them plus the window muls.
+  return gt_pow(g, ff::Fr::modulus()).is_one();
 }
 
 PairingCounters pairing_counters() {

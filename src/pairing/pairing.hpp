@@ -10,8 +10,9 @@
 // coefficient chain once per fixed Q and miller_loop replays it with two Fp
 // scalings per line. Products of pairings replay all chains in lock-step
 // under a single running f, sharing the per-bit Fp12 squaring across every
-// pair, and one final exponentiation (cyclotomic squarings in the hard part)
-// finishes the product. That is what makes the paper's 4-pairing on-chain
+// pair, and one final exponentiation (its hard part's three BN-parameter
+// powers run on Fp12::multi_pow, the one GT exponentiation engine) finishes
+// the product. That is what makes the paper's 4-pairing on-chain
 // verification constant-cost, and what lets one prepared verifier key serve
 // many audit rounds.
 //
@@ -93,7 +94,7 @@ bool pairing_product_is_one(std::span<const PreparedPair> pairs);
 
 /// True iff g lies in GT, the order-r subgroup of Fp12^* hit by the pairing:
 /// first the cyclotomic-subgroup identity g^{p^4+1} == g^{p^2} (cheap, two
-/// Frobenius maps), then g^r == 1 with cyclotomic squarings. Deserializers
+/// Frobenius maps), then g^r == 1 through Fp12::multi_pow. Deserializers
 /// use this to reject unit-norm Fp12 values that are not pairing outputs.
 bool gt_in_subgroup(const Fp12& g);
 

@@ -462,6 +462,31 @@ TEST(AuditWire, GtDecompressRejectsUnitNormNonSubgroupElements) {
   EXPECT_TRUE(::dsaudit::pairing::gt_in_subgroup(g));
 }
 
+TEST(AuditWire, GtOrderCheckRejectsCyclotomicNonSubgroupElements) {
+  // The easy part of the final exponentiation, e = t0^{p^2} * t0 with
+  // t0 = f^{p^6 - 1}, lands in the cyclotomic subgroup (order dividing
+  // p^4 - p^2 + 1) but, for random f, not in its order-r subgroup GT. Such
+  // an element passes the cheap Phi_12 identity, so only the order-r stage
+  // of gt_in_subgroup can reject it.
+  auto rng = SecureRng::deterministic(411);
+  Scenario sc = make_scenario(1500, 8, rng);
+  Prover prover(sc.kp.pk, sc.file, sc.tag);
+  Challenge chal = make_challenge(rng, 4);
+  for (int i = 0; i < 2; ++i) {
+    Fp12 f = Fp12::random(rng);
+    Fp12 t0 = f.conjugate() * f.inverse();
+    Fp12 e = t0.frobenius2() * t0;
+    ASSERT_TRUE(e.frobenius2().frobenius2() * e == e.frobenius2());
+    EXPECT_FALSE(::dsaudit::pairing::gt_in_subgroup(e));
+    auto bytes = gt_compress(e);
+    EXPECT_EQ(gt_decode(bytes).error, DecodeError::BadGtElement);
+
+    auto priv_bytes = serialize(prover.prove_private(chal, rng));
+    std::copy(bytes.begin(), bytes.end(), priv_bytes.begin() + 96);
+    EXPECT_EQ(decode_private(priv_bytes).error, DecodeError::BadGtElement);
+  }
+}
+
 TEST(AuditWire, TamperedProofAndKeyEncodingsRejected) {
   auto rng = SecureRng::deterministic(410);
   Scenario sc = make_scenario(1500, 8, rng);
