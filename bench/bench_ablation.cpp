@@ -107,7 +107,7 @@ int main() {
                 wire.size(), uncompressed, uncompressed - wire.size(),
                 static_cast<unsigned long long>((uncompressed - wire.size()) * 16));
     std::printf("cost: compress %.3f ms (prover), decompress %.2f ms "
-                "(Fp6 Tonelli-Shanks, verifier side)\n", t_comp, t_decomp);
+                "(Fp6 root + GT subgroup check, verifier side)\n", t_comp, t_decomp);
   }
   return 0;
 }

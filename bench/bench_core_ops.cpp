@@ -7,6 +7,7 @@
 
 #include "audit/serialize.hpp"
 #include "bench/bench_util.hpp"
+#include "field/sqrt.hpp"
 #include "kzg/kzg.hpp"
 #include "pairing/pairing.hpp"
 #include "parallel/thread_pool.hpp"
@@ -507,6 +508,30 @@ void BM_GtDecompress(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GtDecompress);
+
+void BM_Fp2Sqrt(benchmark::State& state) {
+  ff::Fp2 a = ff::Fp2::random(rng()).square();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ff::sqrt(a));
+  }
+}
+BENCHMARK(BM_Fp2Sqrt);
+
+void BM_Fp6Sqrt(benchmark::State& state) {
+  ff::Fp6 a = ff::Fp6::random(rng()).square();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ff::sqrt(a));
+  }
+}
+BENCHMARK(BM_Fp6Sqrt);
+
+void BM_GtInSubgroup(benchmark::State& state) {
+  ff::Fp12 g = pairing::pairing(curve::g1_random(rng()), curve::g2_random(rng()));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pairing::gt_in_subgroup(g));
+  }
+}
+BENCHMARK(BM_GtInSubgroup);
 
 }  // namespace
 

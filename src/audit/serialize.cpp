@@ -50,11 +50,6 @@ bool fp6_lex_greater(const Fp6& a, const Fp6& b) {
   return std::lexicographical_compare(bb, bb + 192, ab, ab + 192);
 }
 
-const Fp6& v_element() {
-  static const Fp6 v{Fp2::zero(), Fp2::one(), Fp2::zero()};
-  return v;
-}
-
 Fr read_fr(const std::uint8_t* in) {
   // Scalars are transmitted canonically; out-of-range values are rejected by
   // the caller via the NonCanonicalScalar path before this is reached.
@@ -114,8 +109,11 @@ DecodeResult<Fp12> gt_decode(std::span<const std::uint8_t, 192> bytes) {
     if (!a->square().is_one()) return R::failure(DecodeError::BadGtElement);
     g = Fp12{*a, Fp6::zero()};
   } else {
-    // b^2 = (a^2 - 1) / v
-    Fp6 b2 = (a->square() - Fp6::one()) * v_element().inverse();
+    // b^2 = (a^2 - 1) / v, where (c0, c1, c2) / v = (c1, c2, c0 / xi)
+    // because v^3 = xi.
+    static const Fp2 xi_inv = ff::xi().inverse();
+    Fp6 c = a->square() - Fp6::one();
+    Fp6 b2{c.c1, c.c2, c.c0 * xi_inv};
     auto b = ff::sqrt(b2);
     if (!b || b->is_zero()) return R::failure(DecodeError::BadGtElement);
     Fp6 chosen = (fp6_lex_greater(*b, -*b) == b_greater) ? *b : -*b;

@@ -6,7 +6,10 @@
 // GT compression: after the final exponentiation every GT element g = a + bw
 // (a, b in Fp6) satisfies g * conj(g) = 1, i.e. a^2 - v b^2 = 1. We ship
 // only a (6 Fp = 192 bytes = the paper's "|GT| = 1536 bits") plus a sign bit
-// for b, recovered on decode by b = sqrt((a^2 - 1)/v) in Fp6.
+// for b, recovered on decode by b = sqrt((a^2 - 1)/v) in Fp6. Decode cost is
+// that root (the norm method of field/sqrt.hpp: one 253-bit Fp6 power and an
+// Fp2 root) plus pairing::gt_in_subgroup (two Frobenius maps and a 127-bit
+// GT power); division by the constant v is a coefficient shift.
 //
 // Untrusted-bytes boundary: every decode_* function treats its input as
 // adversary-controlled. Buffers are bounds-checked BEFORE any length field is

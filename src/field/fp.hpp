@@ -127,16 +127,25 @@ class PrimeField {
   }
 
   /// Interpret 32 big-endian bytes as an integer and reduce mod p. This is
-  /// the PRF-output-to-Z_p mapping used during challenge expansion.
+  /// the PRF-output-to-Z_p mapping used during challenge expansion. It is
+  /// NOT uniform: for BN254, 2^256 = 5p + 0.29p, so residues below 2^256 mod p
+  /// have 6 preimages and the rest 5 (statistical distance ~0.039). Kept
+  /// as is because challenges and seeds are pinned to it; use random() for
+  /// secret or masking values.
   static PrimeField from_be_bytes_mod(std::span<const std::uint8_t, 32> bytes) {
     return from_u256(U256::from_be_bytes(bytes));
   }
 
+  /// Uniform element: 512 random bits hi * 2^256 + lo reduced mod p, which
+  /// is within 2^-250 of uniform.
   static PrimeField random(primitives::SecureRng& rng) {
-    // 2^256 / p > 4 for BN254, so modular reduction of 256 uniform bits has
-    // bias < 2^-62 relative to uniform — acceptable everywhere we use it.
-    auto b = rng.bytes32();
-    return from_be_bytes_mod(std::span<const std::uint8_t, 32>(b));
+    std::array<std::uint8_t, 64> b{};
+    rng.fill(b);
+    const std::span<const std::uint8_t, 64> bytes(b);
+    PrimeField two_256;  // 2^256 mod p, whose Montgomery form is r2_mod
+    two_256.v_ = params().r2_mod;
+    return from_be_bytes_mod(bytes.first<32>()) * two_256 +
+           from_be_bytes_mod(bytes.last<32>());
   }
 
   /// Canonical (non-Montgomery) integer value in [0, p).

@@ -1,100 +1,70 @@
 #include "field/sqrt.hpp"
 
-#include <functional>
-#include <stdexcept>
+#include "field/fp12.hpp"
 
 namespace dsaudit::ff {
 
 namespace {
 
-/// Precomputed Tonelli–Shanks context for a field of order q.
-template <typename F>
-struct TsContext {
-  unsigned e = 0;     // 2-adicity of q-1
-  VarUInt m;          // odd part: q-1 = 2^e * m
-  VarUInt m_plus_1_over_2;
-  VarUInt q_minus_1_over_2;
-  F z_pow_m;          // c = z^m for a quadratic non-residue z
-};
-
-template <typename F>
-TsContext<F> make_ts_context(const VarUInt& q, const std::function<F(u64)>& candidate) {
-  TsContext<F> ctx;
-  VarUInt qm1 = q - VarUInt{1};
-  ctx.q_minus_1_over_2 = qm1.shr(1);
-  ctx.m = qm1;
-  while (!ctx.m.is_odd()) {
-    ctx.m = ctx.m.shr(1);
-    ++ctx.e;
-  }
-  ctx.m_plus_1_over_2 = (ctx.m + VarUInt{1}).shr(1);
-  // Deterministic non-residue search over small candidate elements.
-  for (u64 n = 1; n < 1000; ++n) {
-    F z = candidate(n);
-    if (z.is_zero()) continue;
-    F euler = pow_var(z, ctx.q_minus_1_over_2);
-    if (!euler.is_one()) {
-      ctx.z_pow_m = pow_var(z, ctx.m);
-      return ctx;
-    }
-  }
-  throw std::logic_error("tonelli_shanks: no non-residue found (broken field?)");
+/// p-power Frobenius on Fp6: conjugate each coefficient and scale the v and
+/// v^2 terms by v^{p-1} = gamma[2] and v^{2(p-1)} = gamma[4].
+Fp6 frobenius_p(const Fp6& a) {
+  const auto& tc = tower_consts();
+  return {a.c0.conjugate(), a.c1.conjugate() * tc.gamma[2],
+          a.c2.conjugate() * tc.gamma[4]};
 }
 
-template <typename F>
-std::optional<F> tonelli_shanks(const F& a, const TsContext<F>& ctx) {
-  if (a.is_zero()) return F::zero();
-  F x = pow_var(a, ctx.m_plus_1_over_2);
-  F t = pow_var(a, ctx.m);
-  F c = ctx.z_pow_m;
-  unsigned e = ctx.e;
-  while (!t.is_one()) {
-    // Find the least i with t^{2^i} = 1.
-    unsigned i = 0;
-    F probe = t;
-    while (!probe.is_one()) {
-      probe = probe.square();
-      ++i;
-      if (i >= e) return std::nullopt;  // non-residue
-    }
-    F b = c;
-    for (unsigned j = 0; j + i + 1 < e; ++j) b = b.square();
-    x = x * b;
-    c = b.square();
-    t = t * c;
-    e = i;
-  }
-  if (x.square() == a) return x;
-  return std::nullopt;
+/// p^2-power Frobenius on Fp6 (the q-power map for q = p^2): Fp2 is fixed,
+/// so only the v and v^2 terms scale.
+Fp6 frobenius_p2(const Fp6& a) {
+  const auto& tc = tower_consts();
+  return {a.c0, a.c1 * tc.gamma_p2[2], a.c2 * tc.gamma_p2[4]};
 }
 
 }  // namespace
 
 std::optional<Fp2> sqrt(const Fp2& a) {
-  static const TsContext<Fp2> ctx = [] {
-    VarUInt p{Fp::modulus()};
-    // Candidates must leave the base field: every Fp element is a square in
-    // Fp2 (its Euler exponent (p^2-1)/2 is a multiple of p-1).
-    return make_ts_context<Fp2>(
-        p * p, [](u64 n) { return Fp2::from_u64(n & 0xff, 1 + (n >> 8)); });
-  }();
-  return tonelli_shanks(a, ctx);
+  // Complex method: u^2 = -1 and p ≡ 3 (mod 4), so every root reduces to
+  // base-field roots.
+  if (a.c1.is_zero()) {
+    // -1 is a non-residue mod p: exactly one of a0, -a0 is a square, and
+    // (r u)^2 = -r^2 covers the second case.
+    if (auto r = a.c0.sqrt()) return Fp2{*r, Fp::zero()};
+    if (auto r = (-a.c0).sqrt()) return Fp2{Fp::zero(), *r};
+    return std::nullopt;
+  }
+  // (x0 + x1 u)^2 = a gives x0^2 - x1^2 = a0 and 2 x0 x1 = a1, so with
+  // gamma = sqrt(a0^2 + a1^2) (the root of the norm, which must exist) one of
+  // (a0 +- gamma)/2 is x0^2. x0 != 0 because a1 != 0.
+  auto gamma = (a.c0.square() + a.c1.square()).sqrt();
+  if (!gamma) return std::nullopt;
+  static const Fp half = Fp::from_u64(2).inverse();
+  auto x0 = ((a.c0 + *gamma) * half).sqrt();
+  if (!x0) x0 = ((a.c0 - *gamma) * half).sqrt();
+  if (!x0) return std::nullopt;
+  Fp2 x{*x0, a.c1 * x0->dbl().inverse()};
+  if (x.square() == a) return x;
+  return std::nullopt;
 }
 
 std::optional<Fp6> sqrt(const Fp6& a) {
-  static const TsContext<Fp6> ctx = [] {
-    VarUInt p{Fp::modulus()};
-    VarUInt q = VarUInt::pow(p, 6);
-    // A quadratic non-residue of Fp2 stays a non-residue in Fp6 (the
-    // extension degree 3 is odd: (p^6-1)/2 = (p^2-1)/2 * (p^4+p^2+1) with an
-    // odd second factor), so candidates are Fp2 elements with a non-zero
-    // u-part — never pure base-field elements, which are always squares and
-    // would make the search crawl through hundreds of 1500-bit Euler tests.
-    return make_ts_context<Fp6>(q, [](u64 n) {
-      return Fp6(Fp2::from_u64(n & 0xff, 1 + (n >> 8)), Fp2::zero(), Fp2::zero());
-    });
-  }();
-  return tonelli_shanks(a, ctx);
+  // Reduction to Fp2. With q = p^2, Fp6 = F_{q^3} and h = 1 + q + q^2 (odd):
+  // the norm N = a^h = a * a^q * a^{q^2} lies in Fp2, and a is a square iff N
+  // is (a^{(q^3-1)/2} = N^{(q-1)/2}). Then x = a^{(h+1)/2} / sqrt(N) squares
+  // to a^{h+1} / N = a, where (h+1)/2 = 1 + q(q+1)/2 and
+  // (q+1)/2 = (p-1)/2 * (p+1) + 1 give a^{(q+1)/2} = a * y * y^p for
+  // y = a^{(p-1)/2}: one 253-bit power plus Frobenius maps.
+  if (a.is_zero()) return Fp6::zero();
+  const Fp6 aq = frobenius_p2(a);
+  const Fp2 norm = (a * aq * frobenius_p2(aq)).c0;
+  auto s = sqrt(norm);
+  if (!s) return std::nullopt;
+  static const VarUInt p_minus_1_over_2{Fp::params().p_minus_1_over_2};
+  const Fp6 y = pow_var(a, p_minus_1_over_2);
+  const Fp6 a_half_q1 = a * y * frobenius_p(y);  // a^{(q+1)/2}
+  const Fp6 x = (a * frobenius_p2(a_half_q1)).mul_fp2(s->inverse());
+  if (x.square() == a) return x;
+  return std::nullopt;
 }
 
 }  // namespace dsaudit::ff

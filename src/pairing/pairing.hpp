@@ -94,8 +94,11 @@ bool pairing_product_is_one(std::span<const PreparedPair> pairs);
 
 /// True iff g lies in GT, the order-r subgroup of Fp12^* hit by the pairing:
 /// first the cyclotomic-subgroup identity g^{p^4+1} == g^{p^2} (cheap, two
-/// Frobenius maps), then g^r == 1 through Fp12::multi_pow. Deserializers
-/// use this to reject unit-norm Fp12 values that are not pairing outputs.
+/// Frobenius maps), then the order check g^{6t^2} == g^p through
+/// Fp12::multi_pow. BN primes satisfy p - r = 6t^2 exactly (checked at first
+/// use), so g^p * g^{-6t^2} = g^r and the test is g^r == 1 itself, not a
+/// weaker one, on a 127-bit exponent instead of 254 bits. Deserializers use
+/// this to reject unit-norm Fp12 values that are not pairing outputs.
 bool gt_in_subgroup(const Fp12& g);
 
 /// Textbook affine-coordinates Miller loop and pairing (the original

@@ -1,10 +1,12 @@
 // Field-arithmetic tests: Montgomery Fp/Fr, the Fp2/Fp6/Fp12 tower,
-// Frobenius maps and Tonelli–Shanks square roots.
+// Frobenius maps and the extension-field square roots (pinned against a
+// Tonelli–Shanks oracle).
 #include <gtest/gtest.h>
 
 #include "field/batch_inverse.hpp"
 #include "field/fp12.hpp"
 #include "field/sqrt.hpp"
+#include "support/tonelli_shanks.hpp"
 
 namespace dsaudit::ff {
 namespace {
@@ -141,6 +143,44 @@ TEST(Fr, FromBeBytesModReducesConsistently) {
   EXPECT_EQ(VarUInt{got.to_u256()}, expect);
 }
 
+TEST(Fr, RandomReducesA512BitDraw) {
+  // random() consumes 64 bytes and returns (hi * 2^256 + lo) mod r, fully
+  // reduced in its Montgomery representation.
+  auto rng = SecureRng::deterministic(40);
+  auto ref = SecureRng::deterministic(40);
+  for (int i = 0; i < 50; ++i) {
+    std::array<std::uint8_t, 64> b{};
+    ref.fill(b);
+    const std::span<const std::uint8_t, 64> bytes(b);
+    VarUInt wide = VarUInt{U256::from_be_bytes(bytes.first<32>())}.shl(256) +
+                   VarUInt{U256::from_be_bytes(bytes.last<32>())};
+    Fr x = Fr::random(rng);
+    EXPECT_TRUE(bigint::lt(x.mont_repr(), Fr::modulus()));
+    EXPECT_EQ(VarUInt{x.to_u256()},
+              VarUInt::divmod(wide, VarUInt{Fr::modulus()}).second);
+  }
+}
+
+TEST(Fr, RandomIsUniform) {
+  // 2^256 = 5r + 0.29r, so one 256-bit draw reduced mod r lands below
+  // 2^256 mod r with probability 6*0.29/5.29 ~ 0.329 instead of ~0.2902.
+  const U256 cut = Fr::params().r_mod;  // 2^256 mod r
+  auto to_double = [](const U256& v) {
+    double d = 0;
+    for (int i = 3; i >= 0; --i) d = d * 18446744073709551616.0 + double(v.limb[i]);
+    return d;
+  };
+  const double expect = to_double(cut) / to_double(Fr::modulus());
+  EXPECT_NEAR(expect, 0.2902, 1e-3);
+  auto rng = SecureRng::deterministic(37);
+  constexpr int kDraws = 20000;
+  int below = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    if (bigint::lt(Fr::random(rng).to_u256(), cut)) ++below;
+  }
+  EXPECT_NEAR(double(below) / kDraws, expect, 0.015);
+}
+
 // ---------------------------------------------------------------------------
 // Tower specifics.
 // ---------------------------------------------------------------------------
@@ -242,6 +282,56 @@ TEST(Sqrt, Fp6RoundTrip) {
     EXPECT_TRUE(*root == a || *root == -a);
   }
   EXPECT_EQ(sqrt(Fp6::zero()).value(), Fp6::zero());
+}
+
+/// The fast root and the Tonelli–Shanks oracle agree on existence, and on
+/// the root up to sign. Returns whether a root exists.
+template <typename F>
+bool expect_matches_oracle(const F& a) {
+  auto fast = sqrt(a);
+  auto ref = oracle::ts_sqrt(a);
+  EXPECT_EQ(fast.has_value(), ref.has_value());
+  if (fast && ref) EXPECT_TRUE(*fast == *ref || *fast == -*ref);
+  return ref.has_value();
+}
+
+TEST(Sqrt, Fp2MatchesTonelliShanks) {
+  auto rng = SecureRng::deterministic(38);
+  const Fp2 u{Fp::zero(), Fp::one()};
+  std::vector<Fp2> inputs = {Fp2::zero(), Fp2::one(), -Fp2::one(), u, -u, xi()};
+  for (int i = 0; i < 24; ++i) {
+    Fp2 a = Fp2::random(rng);
+    inputs.push_back(a);
+    inputs.push_back(a.square());
+    inputs.push_back({Fp::zero(), a.c1});  // pure imaginary
+    // a1 = 0 with a0 a non-residue: the root is purely imaginary.
+    inputs.push_back({a.c0.legendre() < 0 ? a.c0 : -a.c0, Fp::zero()});
+  }
+  int residues = 0;
+  for (const Fp2& a : inputs) residues += expect_matches_oracle(a);
+  EXPECT_GT(residues, 0);
+  EXPECT_LT(residues, static_cast<int>(inputs.size()));
+}
+
+TEST(Sqrt, Fp6MatchesTonelliShanks) {
+  auto rng = SecureRng::deterministic(39);
+  const Fp2 u{Fp::zero(), Fp::one()};
+  auto embed = [](const Fp2& a) { return Fp6{a, Fp2::zero(), Fp2::zero()}; };
+  const Fp6 v{Fp2::zero(), Fp2::one(), Fp2::zero()};
+  std::vector<Fp6> inputs = {Fp6::zero(), Fp6::one(), -Fp6::one(), embed(u),
+                             embed(xi()), v, v.square(), -v};
+  for (int i = 0; i < 10; ++i) {
+    Fp6 a = Fp6::random(rng);
+    inputs.push_back(a);
+    inputs.push_back(a.square());
+    Fp2 b = Fp2::random(rng);
+    inputs.push_back(embed({Fp::zero(), b.c1}));  // pure imaginary in Fp2
+    inputs.push_back(embed({b.c0.legendre() < 0 ? b.c0 : -b.c0, Fp::zero()}));
+  }
+  int residues = 0;
+  for (const Fp6& a : inputs) residues += expect_matches_oracle(a);
+  EXPECT_GT(residues, 0);
+  EXPECT_LT(residues, static_cast<int>(inputs.size()));
 }
 
 // ---------------------------------------------------------------------------

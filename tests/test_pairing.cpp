@@ -229,6 +229,36 @@ TEST(Fp12Ops, DirectFrobeniusPowersMatchIterated) {
   }
 }
 
+TEST(GtSubgroup, MatchesOrderRDefinition) {
+  // The order stage tests g^{6t^2} == g^p, which is g^r == 1 exactly
+  // because p - r == 6t^2 as integers.
+  ff::U256 p_minus_r;
+  bigint::sub_with_borrow(ff::Fp::modulus(), Fr::modulus(), p_minus_r);
+  const bigint::u128 six_t_sq = bigint::u128{6} * ff::kBnParamT * ff::kBnParamT;
+  EXPECT_EQ(p_minus_r, (ff::U256{static_cast<ff::u64>(six_t_sq),
+                                 static_cast<ff::u64>(six_t_sq >> 64), 0, 0}));
+  // Definition: the Phi_12 identity, then the kept order-r reference ladder.
+  auto in_gt = [](const Fp12& g) {
+    Fp12 gp2 = g.frobenius2();
+    if (!(gp2.frobenius2() * g == gp2)) return false;
+    return g.cyclotomic_pow_u256(Fr::modulus()).is_one();
+  };
+  auto rng = SecureRng::deterministic(78);
+  for (int i = 0; i < 3; ++i) {
+    Fp12 g = pairing(curve::g1_random(rng), curve::g2_random(rng));
+    Fp12 f = Fp12::random(rng);
+    Fp12 t0 = f.conjugate() * f.inverse();  // f^{p^6-1}: unit norm only
+    Fp12 e = t0.frobenius2() * t0;          // easy-part output: cyclotomic
+    const std::pair<Fp12, bool> cases[] = {
+        {g, true}, {e, false}, {g * e, false}, {t0, false}, {-Fp12::one(), false},
+        {Fp12::one(), true}};
+    for (const auto& [x, expect] : cases) {
+      EXPECT_EQ(in_gt(x), expect);
+      EXPECT_EQ(gt_in_subgroup(x), expect);
+    }
+  }
+}
+
 TEST(Pairing, KnownExponentPairingIdentity) {
   // e(aG1, G2) == e(G1, aG2) for several small a — catches scalar/loop-count
   // mixups that bilinearity with random scalars might mask.
