@@ -29,6 +29,22 @@ void BM_FpMul(benchmark::State& state) {
 }
 BENCHMARK(BM_FpMul);
 
+void BM_FrMul(benchmark::State& state) {
+  ff::Fr a = ff::Fr::random(rng()), b = ff::Fr::random(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a = a * b);
+  }
+}
+BENCHMARK(BM_FrMul);
+
+void BM_FpAdd(benchmark::State& state) {
+  ff::Fp a = ff::Fp::random(rng()), b = ff::Fp::random(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a = a + b);
+  }
+}
+BENCHMARK(BM_FpAdd);
+
 void BM_FpInverse(benchmark::State& state) {
   ff::Fp a = ff::Fp::random(rng());
   for (auto _ : state) {

@@ -219,13 +219,4 @@ U256 inv_mod(const U256& a, const U256& m) {
   return v;
 }
 
-u64 mont_n0_inv(const U256& m) {
-  if (!m.is_odd()) throw std::domain_error("mont_n0_inv: modulus must be odd");
-  // Newton iteration: inv *= 2 - m*inv doubles correct bits each round.
-  u64 m0 = m.limb[0];
-  u64 inv = 1;
-  for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
-  return ~inv + 1;  // -inv mod 2^64
-}
-
 }  // namespace dsaudit::bigint

@@ -70,13 +70,7 @@ bool g2_in_subgroup(const G2& p) {
   //    [p - 6t^2] Q_c = [r] Q_c = 0, and r coprime to the cofactor forces
   //    Q_c = 0.
   // 6t^2 is 127 bits, so the ladder runs half the order-r oracle's length.
-  static const ff::U256 six_t_sq = [] {
-    const bigint::u128 v =
-        bigint::u128{6} * ff::kBnParamT * ff::kBnParamT;
-    return ff::U256{static_cast<bigint::u64>(v),
-                    static_cast<bigint::u64>(v >> 64), 0, 0};
-  }();
-  return g2_frobenius(p) == p.mul(six_t_sq);
+  return g2_frobenius(p) == p.mul(ff::kSixTSq);
 }
 
 bool g2_in_subgroup_naive(const G2& p) {

@@ -20,36 +20,31 @@ void require(bool ok, const char* what) {
 
 void validate_bn254_parameters() {
   static const bool once = [] {
-    // 1. Moduli match the BN polynomial family at t = kBnParamT.
-    VarUInt t{ff::kBnParamT};
-    VarUInt t2 = t * t, t3 = t2 * t, t4 = t3 * t;
-    VarUInt p = VarUInt{36} * t4 + VarUInt{36} * t3 + VarUInt{24} * t2 +
-                VarUInt{6} * t + VarUInt{1};
-    VarUInt r = VarUInt{36} * t4 + VarUInt{36} * t3 + VarUInt{18} * t2 +
-                VarUInt{6} * t + VarUInt{1};
-    require(p.to_u256() == ff::Fp::modulus(), "p(t) != Fp modulus");
-    require(r.to_u256() == ff::Fr::modulus(), "r(t) != Fr modulus");
-
-    // 2. Generators are on their curves and have order r.
+    // The moduli themselves are checked against p(t), r(t) at compile time
+    // (static_asserts in field/fp.hpp).
+    // 1. Generators are on their curves and have order r.
     require(G1::generator().is_on_curve(), "G1 generator not on curve");
     require(G1::generator().mul(ff::Fr::modulus()).is_infinity(),
             "G1 generator order != r");
     require(G2::generator().is_on_curve(), "G2 generator not on twist");
     require(g2_in_subgroup(G2::generator()), "G2 generator not in r-subgroup");
 
-    // 3. Twist endomorphism psi satisfies psi(Q) = [p]Q on the r-subgroup
+    // 2. Twist endomorphism psi satisfies psi(Q) = [p]Q on the r-subgroup
     //    (the eigenvalue of Frobenius on G2 is p mod r).
     ff::Fr p_mod_r = ff::Fr::from_u256(ff::Fp::modulus());
     G2 q = G2::generator().mul(ff::Fr::from_u64(12345));
     require(g2_frobenius(q) == q.mul(p_mod_r), "psi(Q) != [p]Q");
     require(g2_frobenius2(q) == q.mul(p_mod_r * p_mod_r), "psi^2(Q) != [p^2]Q");
 
-    // 4. GLV endomorphism parameters, re-derived independently over VarUInt.
+    // 3. GLV endomorphism parameters, re-derived independently over VarUInt.
     //    lambda = 36t^3 + 18t^2 + 6t + 1, the cube root of unity mod r that
     //    phi(x, y) = (beta*x, y) realizes on G1; the lattice basis
     //    v1 = (a1, b1), v2 = (-b1, b2) spans the kernel of
     //    (k1, k2) -> k1 + k2*lambda mod r with determinant exactly r.
     const GlvParams& glv = glv_params();
+    const VarUInt t{ff::kBnParamT};
+    const VarUInt t2 = t * t, t3 = t2 * t;
+    const VarUInt r{ff::Fr::modulus()};
     VarUInt lambda = VarUInt{36} * t3 + VarUInt{18} * t2 + VarUInt{6} * t +
                      VarUInt{1};
     VarUInt a1 = VarUInt{6} * t2 + VarUInt{4} * t + VarUInt{1};

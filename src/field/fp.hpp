@@ -4,17 +4,20 @@
 //   Fr — the scalar field (group order r), the paper's Z_p of data blocks.
 //
 // Elements are stored in Montgomery form (x * 2^256 mod p) and multiplied
-// with a 4-limb CIOS reduction. All constants (R^2, -p^-1 mod 2^64, ...) are
-// derived at first use from the modulus string, and the moduli themselves are
-// re-derived from the BN parameter t at init (see curve/bn254_params), so a
-// single typo cannot silently corrupt the arithmetic.
+// with a 4-limb no-carry CIOS reduction. Every constant (R, R^2, R^3,
+// -p^-1 mod 2^64, the exponents) is a compile-time constant computed from the
+// modulus limbs, and the static_asserts after FpTag/FrTag check the limbs
+// against the BN polynomials p(t), r(t) and the constants against their
+// definitions, so a typo in a limb fails the build. The curve-level constants
+// (generators, orders, GLV) are checked at run time by
+// curve::validate_bn254_parameters.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 
 #include "bigint/u256.hpp"
@@ -33,28 +36,45 @@ struct MontParams {
   U256 r2_mod;   // (2^256)^2 mod p
   U256 r3_mod;   // (2^256)^3 mod p (single-step Montgomery inversion)
   u64 n0_inv;    // -p^{-1} mod 2^64
-  bool no_carry = false;       // top modulus limb < 2^62: no-carry CIOS valid
-  bool has_fast_sqrt = false;  // true iff modulus ≡ 3 (mod 4)
-  U256 p_plus_1_over_4;   // sqrt exponent (only valid when has_fast_sqrt)
+  U256 p_plus_1_over_4;   // sqrt exponent, floor((p+1)/4); used iff p ≡ 3 mod 4
   U256 p_minus_1_over_2;  // Euler criterion exponent
   U256 p_minus_2;         // Fermat inversion exponent
 };
 
-/// Builds Montgomery parameters from an odd modulus.
-MontParams make_mont_params(const U256& modulus);
+/// Montgomery parameters of an odd modulus below 2^255. R^k mod p comes from
+/// 256k modular doublings of 1, so the whole derivation is constexpr limb
+/// arithmetic.
+constexpr MontParams make_mont_params(const U256& modulus) {
+  MontParams P{};
+  P.modulus = modulus;
+  P.n0_inv = bigint::mont_n0_inv(modulus);
+  U256 x{1};
+  for (int i = 1; i <= 768; ++i) {
+    x = bigint::add_mod(x, x, modulus);
+    if (i == 256) P.r_mod = x;
+    if (i == 512) P.r2_mod = x;
+  }
+  P.r3_mod = x;
+  const U256 one{1};
+  U256 pm1, pp1;
+  bigint::sub_with_borrow(modulus, one, pm1);
+  bigint::sub_with_borrow(pm1, one, P.p_minus_2);
+  P.p_minus_1_over_2 = bigint::shr1(pm1);
+  bigint::add_with_carry(modulus, one, pp1);  // p < 2^255, no carry
+  P.p_plus_1_over_4 = bigint::shr1(bigint::shr1(pp1));
+  return P;
+}
 
 namespace detail {
 
-/// Generic 4-limb CIOS with a fifth carry limb; works for any odd modulus.
-U256 mont_mul_generic(const U256& a, const U256& b, const MontParams& P);
-
-/// CIOS with the "no-carry" optimization: when the modulus' top limb is well
-/// below 2^63 (true for both BN254 moduli), the interleaved multiply/reduce
-/// columns never spill into a fifth limb, so the whole product fits in four
-/// words plus two running carries. Requires a, b < modulus. Lives in the
-/// header so it inlines into the field operators — this is the innermost
-/// loop of every curve operation.
-inline U256 mont_mul_nocarry(const U256& a, const U256& b, const MontParams& P) {
+/// CIOS Montgomery product a * b * 2^-256 mod p with the "no-carry"
+/// optimization: the modulus' top limb is below 2^62 (static_asserted for
+/// both BN254 moduli), so the interleaved multiply/reduce columns never
+/// spill into a fifth limb and the product fits in four words plus two
+/// running carries. Requires a, b < modulus. Lives in the header so it
+/// inlines into the field operators — this is the innermost loop of every
+/// curve operation.
+constexpr U256 mont_mul(const U256& a, const U256& b, const MontParams& P) {
   using bigint::u128;
   const std::array<u64, 4>& q = P.modulus.limb;
   u64 t0 = 0, t1 = 0, t2 = 0, t3 = 0;
@@ -91,20 +111,40 @@ inline U256 mont_mul_nocarry(const U256& a, const U256& b, const MontParams& P) 
   return r;
 }
 
-inline U256 mont_mul(const U256& a, const U256& b, const MontParams& P) {
-  return P.no_carry ? mont_mul_nocarry(a, b, P) : mont_mul_generic(a, b, P);
+/// c[0] t^n + c[1] t^(n-1) + ... + c[n] by Horner's rule over U256 (wraps
+/// mod 2^256; the BN polynomials at t stay below 2^254).
+constexpr U256 horner(std::initializer_list<u64> coeffs, u64 t) {
+  using bigint::u128;
+  U256 acc;
+  for (u64 c : coeffs) {
+    u128 carry = c;
+    for (u64& l : acc.limb) {
+      const u128 v = static_cast<u128>(l) * t + carry;
+      l = static_cast<u64>(v);
+      carry = v >> 64;
+    }
+  }
+  return acc;
+}
+
+/// True iff k * p > 2^256.
+constexpr bool multiple_exceeds_2_256(const U256& p, int k) {
+  U256 acc;
+  u64 carries = 0;
+  for (int i = 0; i < k; ++i) carries += bigint::add_with_carry(acc, p, acc);
+  return carries > 1 || (carries == 1 && !acc.is_zero());
 }
 
 }  // namespace detail
 
-/// A prime-field element. Tag supplies the modulus via Tag::params().
+/// A prime-field element. Tag supplies the constants as Tag::kParams.
 template <typename Tag>
 class PrimeField {
  public:
   PrimeField() = default;  // zero
 
-  static const MontParams& params() { return Tag::params(); }
-  static const U256& modulus() { return params().modulus; }
+  static constexpr const MontParams& params() { return Tag::kParams; }
+  static constexpr const U256& modulus() { return params().modulus; }
 
   static PrimeField zero() { return PrimeField{}; }
   static PrimeField one() {
@@ -116,11 +156,14 @@ class PrimeField {
   static PrimeField from_u64(u64 v) { return from_u256(U256{v}); }
 
   /// Reduce an arbitrary 256-bit value mod p and lift to Montgomery form.
+  /// 6p > 2^256 (static_asserted below), so at most five subtractions of p
+  /// reduce any 256-bit value.
   static PrimeField from_u256(const U256& v) {
     const auto& P = params();
-    U256 reduced = bigint::lt(v, P.modulus)
-                       ? v
-                       : bigint::mod(widen(v), P.modulus);
+    U256 reduced = v;
+    for (int i = 0; i < 5 && !bigint::lt(reduced, P.modulus); ++i) {
+      bigint::sub_with_borrow(reduced, P.modulus, reduced);
+    }
     PrimeField r;
     r.v_ = detail::mont_mul(reduced, P.r2_mod, P);
     return r;
@@ -227,12 +270,11 @@ class PrimeField {
   }
 
   /// Square root via the p ≡ 3 (mod 4) shortcut; nullopt if not a quadratic
-  /// residue. Throws std::logic_error for fields without the shortcut (Fr has
-  /// r ≡ 1 mod 4; nothing in the protocol needs square roots there).
-  std::optional<PrimeField> sqrt() const {
-    if (!params().has_fast_sqrt) {
-      throw std::logic_error("PrimeField::sqrt: modulus is not 3 mod 4");
-    }
+  /// residue. Only declared for such fields: Fr has r ≡ 1 (mod 4), so
+  /// Fr::sqrt() does not compile (nothing in the protocol needs it).
+  std::optional<PrimeField> sqrt() const
+    requires(Tag::kParams.modulus.limb[0] % 4 == 3)
+  {
     PrimeField cand = pow_u256(params().p_plus_1_over_4);
     if (cand.square() == *this) return cand;
     return std::nullopt;
@@ -256,29 +298,69 @@ class PrimeField {
   const U256& mont_repr() const { return v_; }
 
  private:
-  static bigint::U512 widen(const U256& v) {
-    return bigint::U512{{v.limb[0], v.limb[1], v.limb[2], v.limb[3], 0, 0, 0, 0}};
-  }
   U256 v_{};  // Montgomery form
 };
 
+/// The BN parameter t: p = p(t) and r = r(t) below, and the curve and
+/// pairing layers derive their constants from it.
+inline constexpr u64 kBnParamT = 4965661367192848881ULL;
+
 struct FpTag {
-  static const MontParams& params();
+  // p = 0x30644e72e131a029b85045b68181585d97816a916871ca8d3c208c16d87cfd47
+  static constexpr MontParams kParams = make_mont_params(
+      U256{0x3c208c16d87cfd47, 0x97816a916871ca8d, 0xb85045b68181585d,
+           0x30644e72e131a029});
 };
 struct FrTag {
-  static const MontParams& params();
+  // r = 0x30644e72e131a029b85045b68181585d2833e84879b9709143e1f593f0000001
+  static constexpr MontParams kParams = make_mont_params(
+      U256{0x43e1f593f0000001, 0x2833e84879b97091, 0xb85045b68181585d,
+           0x30644e72e131a029});
 };
+
+// Compile-time checks of both fields' constants.
+static_assert(FpTag::kParams.modulus ==
+                  detail::horner({36, 36, 24, 6, 1}, kBnParamT),
+              "p != 36t^4 + 36t^3 + 24t^2 + 6t + 1");
+static_assert(FrTag::kParams.modulus ==
+                  detail::horner({36, 36, 18, 6, 1}, kBnParamT),
+              "r != 36t^4 + 36t^3 + 18t^2 + 6t + 1");
+static_assert(FpTag::kParams.modulus.limb[3] < (u64{1} << 62) &&
+                  FrTag::kParams.modulus.limb[3] < (u64{1} << 62),
+              "no-carry mont_mul needs a top modulus limb below 2^62");
+static_assert(FpTag::kParams.modulus.limb[0] * FpTag::kParams.n0_inv == ~u64{0} &&
+                  FrTag::kParams.modulus.limb[0] * FrTag::kParams.n0_inv == ~u64{0},
+              "n0 != -p^-1 mod 2^64");
+static_assert(detail::mont_mul(FpTag::kParams.r2_mod, U256{1}, FpTag::kParams) ==
+                      FpTag::kParams.r_mod &&
+                  detail::mont_mul(FrTag::kParams.r2_mod, U256{1}, FrTag::kParams) ==
+                      FrTag::kParams.r_mod,
+              "mont_mul(R^2, 1) != R");
+static_assert(detail::mont_mul(FpTag::kParams.r3_mod, U256{1}, FpTag::kParams) ==
+                      FpTag::kParams.r2_mod &&
+                  detail::mont_mul(FrTag::kParams.r3_mod, U256{1}, FrTag::kParams) ==
+                      FrTag::kParams.r2_mod,
+              "mont_mul(R^3, 1) != R^2");
+static_assert(detail::multiple_exceeds_2_256(FpTag::kParams.modulus, 6) &&
+                  detail::multiple_exceeds_2_256(FrTag::kParams.modulus, 6),
+              "from_u256 needs 6p > 2^256");
+
+/// 6t^2, which for BN curves is exactly p - r: the 127-bit exponent of the
+/// G2 and GT subgroup checks (curve/g2.cpp, pairing/pairing.cpp).
+inline constexpr U256 kSixTSq = detail::horner({6, 0, 0}, kBnParamT);
+static_assert(
+    [] {
+      U256 p_minus_r;
+      bigint::sub_with_borrow(FpTag::kParams.modulus, FrTag::kParams.modulus,
+                              p_minus_r);
+      return p_minus_r == kSixTSq;
+    }(),
+    "p - r != 6t^2");
 
 /// Base field of BN254 (alt_bn128): coordinates of curve points.
 using Fp = PrimeField<FpTag>;
 /// Scalar field (group order r): the paper's Z_p of data blocks/exponents.
 using Fr = PrimeField<FrTag>;
-
-/// The BN parameter t with p(t), r(t) — exposed so the curve layer can verify
-/// p = 36t^4+36t^3+24t^2+6t+1 and r = 36t^4+36t^3+18t^2+6t+1 at startup.
-inline constexpr u64 kBnParamT = 4965661367192848881ULL;
-extern const char* const kFpModulusHex;
-extern const char* const kFrModulusHex;
 
 /// Generic exponentiation by a VarUInt exponent for any multiplicative group
 /// element type (needs one(), operator*, square()).

@@ -444,17 +444,7 @@ bool gt_in_subgroup(const Fp12& g) {
   // g^r and g^r == 1 iff g^{6t^2} == frobenius(g). Same predicate as the
   // 254-bit ladder, on a 127-bit exponent; the cyclotomic squarings of the
   // GT engine are valid because the first stage passed.
-  static const ff::U256 six_t_sq = [] {
-    ff::U256 p_minus_r;
-    bigint::sub_with_borrow(Fp::modulus(), ff::Fr::modulus(), p_minus_r);
-    const u128 v = u128{6} * ff::kBnParamT * ff::kBnParamT;
-    if (!(p_minus_r == ff::U256{static_cast<bigint::u64>(v),
-                                static_cast<bigint::u64>(v >> 64), 0, 0})) {
-      throw std::logic_error("gt_in_subgroup: p - r != 6t^2");
-    }
-    return p_minus_r;
-  }();
-  return gt_pow(g, six_t_sq) == g.frobenius();
+  return gt_pow(g, ff::kSixTSq) == g.frobenius();
 }
 
 PairingCounters pairing_counters() {

@@ -3,6 +3,8 @@
 // Tonelli–Shanks oracle).
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "field/batch_inverse.hpp"
 #include "field/fp12.hpp"
 #include "field/sqrt.hpp"
@@ -86,22 +88,94 @@ TEST(Fp, CanonicalRoundTrip) {
   EXPECT_EQ(Fp::one().to_dec(), "1");
 }
 
+// from_u256 reduces with at most five subtractions of p; pin it against
+// VarUInt division on 2^256 - 1 and on k*p + j for k = 1..5.
+template <typename F>
+void check_reduction_of_large_values() {
+  const VarUInt p{F::modulus()};
+  const VarUInt two_256 = VarUInt{1}.shl(256);
+  auto check = [&](const VarUInt& v) {
+    ASSERT_EQ(VarUInt::cmp(v, two_256), -1);
+    EXPECT_EQ(VarUInt{F::from_u256(v.to_u256()).to_u256()},
+              VarUInt::divmod(v, p).second);
+  };
+  EXPECT_TRUE(F::from_u256(F::modulus()).is_zero());
+  check(two_256 - VarUInt{1});
+  for (u64 k = 1; k <= 5; ++k) {
+    for (const VarUInt& j : {VarUInt{0}, VarUInt{1}, VarUInt{2}, p - VarUInt{1}}) {
+      const VarUInt v = VarUInt{k} * p + j;
+      if (VarUInt::cmp(v, two_256) < 0) check(v);
+    }
+  }
+}
+
 TEST(Fp, ReductionOfLargeValues) {
-  // from_u256 of p itself must be zero; of p+1 must be one.
-  U256 p = Fp::modulus();
-  EXPECT_TRUE(Fp::from_u256(p).is_zero());
-  U256 p1;
-  bigint::add_with_carry(p, U256{1}, p1);
-  EXPECT_TRUE(Fp::from_u256(p1).is_one());
+  check_reduction_of_large_values<Fp>();
+  check_reduction_of_large_values<Fr>();
+}
+
+// The Montgomery kernel against the shift-subtract slow path, on random
+// operands and on 0, 1, p-1, p-2 and (p-1)/2: both the field product and
+// the raw kernel, whose output times R must equal a*b mod p.
+template <typename F>
+void check_mul_against_slow_path(std::uint64_t seed) {
+  const MontParams& P = F::params();
+  const U256& p = P.modulus;
+  std::vector<U256> ops{U256{0}, U256{1}};
+  U256 pm1, pm2;
+  bigint::sub_with_borrow(p, U256{1}, pm1);
+  bigint::sub_with_borrow(p, U256{2}, pm2);
+  ops.insert(ops.end(), {pm1, pm2, bigint::shr1(pm1)});
+  auto rng = SecureRng::deterministic(seed);
+  for (int i = 0; i < 30; ++i) ops.push_back(F::random(rng).to_u256());
+  for (const U256& a : ops) {
+    for (const U256& b : ops) {
+      const U256 expect = bigint::mul_mod_slow(a, b, p);
+      EXPECT_EQ((F::from_u256(a) * F::from_u256(b)).to_u256(), expect);
+      EXPECT_EQ(bigint::mul_mod_slow(detail::mont_mul(a, b, P), P.r_mod, p),
+                expect);
+    }
+  }
 }
 
 TEST(Fp, MulAgainstSlowPath) {
-  auto rng = SecureRng::deterministic(26);
-  for (int i = 0; i < 100; ++i) {
-    Fp a = Fp::random(rng), b = Fp::random(rng);
-    U256 expect = bigint::mul_mod_slow(a.to_u256(), b.to_u256(), Fp::modulus());
-    EXPECT_EQ((a * b).to_u256(), expect);
-  }
+  check_mul_against_slow_path<Fp>(26);
+  check_mul_against_slow_path<Fr>(41);
+}
+
+// The compile-time constants against the runtime derivation they replaced:
+// R^k mod p and the exponents by VarUInt division, n0 by its definition
+// p * n0 = -1 (mod 2^64), which fixes it uniquely below 2^64.
+template <typename F>
+void check_mont_params_match_varuint() {
+  const MontParams& P = F::params();
+  const VarUInt p{P.modulus};
+  const VarUInt r = VarUInt{1}.shl(256);
+  EXPECT_EQ(VarUInt{P.r_mod}, VarUInt::divmod(r, p).second);
+  EXPECT_EQ(VarUInt{P.r2_mod}, VarUInt::divmod(r * r, p).second);
+  EXPECT_EQ(VarUInt{P.r3_mod}, VarUInt::divmod(r * r * r, p).second);
+  EXPECT_TRUE(VarUInt::divmod(p * VarUInt{P.n0_inv} + VarUInt{1},
+                              VarUInt{1}.shl(64))
+                  .second.is_zero());
+  EXPECT_EQ(VarUInt{P.p_plus_1_over_4},
+            VarUInt::divmod(p + VarUInt{1}, VarUInt{4}).first);
+  EXPECT_EQ(VarUInt{P.p_minus_1_over_2},
+            VarUInt::divmod(p - VarUInt{1}, VarUInt{2}).first);
+  EXPECT_EQ(VarUInt{P.p_minus_2}, p - VarUInt{2});
+}
+
+// A concept, because a requires-expression outside a template may not name
+// an invalid expression.
+template <typename F>
+concept HasSqrt = requires(const F& f) { f.sqrt(); };
+
+TEST(MontParams, MatchVarUIntDerivation) {
+  check_mont_params_match_varuint<Fp>();
+  check_mont_params_match_varuint<Fr>();
+  // r = 1 (mod 4): Fr has no p = 3 (mod 4) square root, and calling one is a
+  // compile error rather than a run-time throw.
+  static_assert(HasSqrt<Fp>);
+  static_assert(!HasSqrt<Fr>);
 }
 
 TEST(Fp, FermatLittleTheorem) {
