@@ -272,6 +272,26 @@ void BM_ProvePrivate_k300_s50(benchmark::State& state) {
 }
 BENCHMARK(BM_ProvePrivate_k300_s50);
 
+/// A streaming round's prove (s = 4, k = 1): a transient Prover per
+/// challenge, as NetworkSim builds under streaming retention. `cold` builds
+/// no tables, so psi is a cold 3-point MSM; `shared_table` borrows the key's
+/// prebuilt psi table, the one NetworkSim holds per key.
+void BM_StreamingProve(benchmark::State& state, bool shared_table) {
+  static const benchutil::Scenario sc =
+      benchutil::make_scenario(4 * 31 * 8, 4, rng());
+  static const auto table = audit::prepare_psi_table(sc.kp.pk);
+  const audit::Challenge chal = benchutil::make_challenge(rng(), 1);
+  for (auto _ : state) {
+    const audit::Prover prover =
+        shared_table ? audit::Prover(sc.kp.pk, sc.file, sc.tag, table)
+                     : audit::Prover(sc.kp.pk, sc.file, sc.tag,
+                                     /*prepare_psi=*/false);
+    benchmark::DoNotOptimize(prover.prove(chal));
+  }
+}
+BENCHMARK_CAPTURE(BM_StreamingProve, cold, false);
+BENCHMARK_CAPTURE(BM_StreamingProve, shared_table, true);
+
 void BM_VerifyBasic_k300(benchmark::State& state) {
   auto& f = fixture();
   auto proof = f.prover->prove(f.chal);

@@ -93,21 +93,35 @@ bool verify_tags(const PublicKey& pk, const storage::EncodedFile& file,
   return Verifier(pk).verify_tags(file, tag);
 }
 
+std::shared_ptr<const curve::MsmBasesTable<G1>> prepare_psi_table(
+    const PublicKey& pk) {
+  if (pk.g1_alpha_powers.size() < 2) return nullptr;
+  return std::make_shared<const curve::MsmBasesTable<G1>>(
+      curve::msm_precompute<G1>(pk.g1_alpha_powers));
+}
+
 Prover::Prover(const PublicKey& pk, const storage::EncodedFile& file,
-               const FileTag& tag, bool prepare_psi, bool prepare_sigma)
-    : pk_(pk), file_(file), tag_(tag) {
+               const FileTag& tag,
+               std::shared_ptr<const curve::MsmBasesTable<G1>> psi_table,
+               bool prepare_sigma)
+    : pk_(pk), file_(file), tag_(tag), psi_key_(std::move(psi_table)) {
   if (file.s != pk.s || tag.num_chunks != file.num_chunks()) {
     throw std::invalid_argument("Prover: inconsistent pk/file/tag");
   }
-  if (prepare_psi && pk.g1_alpha_powers.size() >= 2) {
-    psi_key_ = std::make_shared<const curve::MsmBasesTable<G1>>(
-        curve::msm_precompute<G1>(pk.g1_alpha_powers));
+  if (psi_key_ && psi_key_->n != pk.g1_alpha_powers.size()) {
+    throw std::invalid_argument(
+        "Prover: psi table does not match the SRS size");
   }
   if (prepare_sigma && tag.sigmas.size() >= 2) {
     sigma_key_ = std::make_shared<const curve::MsmBasesTable<G1>>(
         curve::msm_precompute<G1>(tag.sigmas));
   }
 }
+
+Prover::Prover(const PublicKey& pk, const storage::EncodedFile& file,
+               const FileTag& tag, bool prepare_psi, bool prepare_sigma)
+    : Prover(pk, file, tag, prepare_psi ? prepare_psi_table(pk) : nullptr,
+             prepare_sigma) {}
 
 Prover::Core Prover::core(const Challenge& chal, ProverTimings* timings) const {
   auto t0 = Clock::now();
@@ -195,19 +209,6 @@ ProofPrivate Prover::prove_private(const Challenge& chal,
 }
 
 namespace {
-
-/// chi = prod_i H(name||i)^{c_i} — recomputed by the contract from public
-/// data only.
-G1 compute_chi(const Fr& name, const ExpandedChallenge& ex) {
-  std::vector<G1> hashes(ex.indices.size());
-  parallel::parallel_for_ranges(
-      ex.indices.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t j = begin; j < end; ++j) {
-          hashes[j] = chunk_hash(name, ex.indices[j]);
-        }
-      });
-  return curve::msm<G1>(hashes, ex.coefficients);
-}
 
 /// Content hash of the verifying key's two G2 points (affine coordinates
 /// with an infinity flag byte each) — the settlement engine's grouping key.
@@ -357,19 +358,25 @@ namespace {
 ///   basic:   e(s, g2) * e(e, eps) * e(d, delta) == 1
 ///   private: e(s, g2) * e(e, eps) * e(d, delta) * R == 1  (zeta folded in)
 /// with s = zeta*sigma, e = (zeta*r)*psi - y*g - zeta*chi, d = -zeta*psi
-/// (zeta = 1 for basic proofs). The batch check never materializes those
-/// per-instance points: the zeta/challenge scalars ride the rho batch
-/// weights into the per-slot MSMs — e.g. the eps slot aggregates
-/// sum_i [rho_i zeta_i r_i] psi_i - [sum_i rho_i y_i] g - [rho_i zeta_i]
-/// chi_i — so equation prep costs no arbitrary scalar muls at all; with the
-/// GLV split those 254-bit folded weights run at half-length anyway. The
-/// exact unweighted terms are only computed (from these components, with the
-/// identical formula/mul sequence) at bisection leaves and single-instance
-/// batches.
+/// (zeta = 1 for basic proofs) and chi = sum_j [c_j] H(name||i_j). The batch
+/// check never materializes those per-instance points: the zeta/challenge
+/// scalars ride the rho batch weights into the per-slot MSMs — e.g. the eps
+/// slot aggregates sum_i [rho_i zeta_i r_i] psi_i - [sum_i rho_i y_i] g -
+/// sum_i,j [rho_i zeta_i c_ij] H_ij — so equation prep costs no arbitrary
+/// scalar muls at all, and an instance without a PreparedFile never computes
+/// its chi; with the GLV split those 254-bit folded weights run at
+/// half-length anyway. The exact unweighted terms are only computed (from
+/// these components, with the identical formula/mul sequence) at bisection
+/// leaves and single-instance batches.
 struct SettleTerms {
   bool valid = false;
   bool is_private = false;
-  G1 sigma, psi, chi;
+  G1 sigma, psi;
+  // chi = sum_h [chi_sc[h]] chi_pts[h]: the challenged chunk hashes
+  // H(name||i_j) with their coefficients c_j, or — when a PreparedFile's
+  // table already produced chi — chi itself with coefficient 1.
+  std::vector<G1> chi_pts;
+  std::vector<Fr> chi_sc;
   Fr r_chal, y;           // challenge scalar; y (basic) or y' (private)
   Fr zeta = Fr::one();    // hash_gt_to_fr(R) for private, 1 for basic
   Fp12 gt = Fp12::one();  // R for private instances, 1 for basic
@@ -415,10 +422,10 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   }
   const bool need_weights = plausible > 1;
 
-  // Per-instance preparation — the chi aggregation and the zeta hash — is
-  // embarrassingly parallel; all scalar weighting is deferred to the batch
-  // check's MSMs (or a leaf's exact check), so no arbitrary scalar muls
-  // happen here.
+  // Per-instance preparation — the chunk hashes (or a prepared file's chi)
+  // and the zeta hash — is embarrassingly parallel; all scalar weighting is
+  // deferred to the batch check's MSMs (or a leaf's exact check), so no
+  // arbitrary scalar muls happen here.
   std::vector<SettleTerms> terms(instances.size());
   parallel::parallel_for_ranges(
       instances.size(), [&](std::size_t begin, std::size_t end) {
@@ -434,11 +441,22 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
           if (d_chunks == 0 || inst.challenge.k == 0) continue;
           if (!has_basic && inst.priv->big_r.is_zero()) continue;
           ExpandedChallenge ex = expand_challenge(inst.challenge, d_chunks);
-          G1 chi = inst.file
-                       ? curve::msm_precomputed(inst.file->hashes, ex.indices,
-                                                ex.coefficients)
-                       : compute_chi(inst.name, ex);
-          t.chi = chi;
+          if (inst.file) {
+            t.chi_pts = {curve::msm_precomputed(inst.file->hashes, ex.indices,
+                                                ex.coefficients)};
+            t.chi_sc = {Fr::one()};
+          } else {
+            // Hash-to-curve dominates a lone cold instance at large k (a
+            // one-shot verify), so it shards; on a worker it runs inline.
+            t.chi_pts.resize(ex.indices.size());
+            parallel::parallel_for_ranges(
+                ex.indices.size(), [&](std::size_t begin, std::size_t end) {
+                  for (std::size_t j = begin; j < end; ++j) {
+                    t.chi_pts[j] = chunk_hash(inst.name, ex.indices[j]);
+                  }
+                });
+            t.chi_sc = std::move(ex.coefficients);
+          }
           t.r_chal = inst.challenge.r;
           if (has_basic) {
             const ProofBasic& p = *inst.basic;
@@ -500,16 +518,17 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   // leaves and single-instance batches.
   auto check_single = [&out](const SettleTerms& t) {
     ++out.single_checks;
+    const G1 chi = curve::msm<G1>(t.chi_pts, t.chi_sc);
     G1 s, e, d;
     if (t.is_private) {
       G1 zeta_psi = t.psi.mul(t.zeta);
       s = t.sigma.mul(t.zeta);
       e = zeta_psi.mul(t.r_chal) - curve::g1_mul_generator(t.y) -
-          t.chi.mul(t.zeta);
+          chi.mul(t.zeta);
       d = -zeta_psi;
     } else {
       s = t.sigma;
-      e = t.psi.mul(t.r_chal) - curve::g1_mul_generator(t.y) - t.chi;
+      e = t.psi.mul(t.r_chal) - curve::g1_mul_generator(t.y) - chi;
       d = -t.psi;
     }
     std::array<pairing::PreparedPair, 3> pairs{
@@ -536,10 +555,12 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     std::vector<Fr> sig_sc;
     sig_pts.reserve(m);
     sig_sc.reserve(m);
-    // eps slot per key: [rho zeta r] psi_i + [-rho zeta] chi_i, plus one
-    // shared generator base carrying sum_i [-rho y_i]; delta slot per key:
-    // [-rho zeta] psi_i. The folded weights are full 254-bit scalars, which
-    // the MSM layer runs GLV-split.
+    // eps slot per key: [rho zeta r] psi_i + [-rho zeta] chi_i — chi_i
+    // unfolded into its chunk hashes as sum_j [-rho zeta c_j] H_j unless a
+    // prepared file already built it — plus one shared generator base
+    // carrying sum_i [-rho y_i]; delta slot per key: [-rho zeta] psi_i. The
+    // folded weights are full 254-bit scalars, which the MSM layer runs
+    // GLV-split.
     std::vector<std::vector<G1>> eps_pts(groups.size()), delta_pts(groups.size());
     std::vector<std::vector<Fr>> eps_sc(groups.size()), delta_sc(groups.size());
     std::vector<Fr> gen_sc(groups.size(), Fr::zero());
@@ -552,8 +573,10 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
       sig_sc.push_back(rz);
       eps_pts[t.key].push_back(t.psi);
       eps_sc[t.key].push_back(rz * t.r_chal);
-      eps_pts[t.key].push_back(t.chi);
-      eps_sc[t.key].push_back(-rz);
+      for (std::size_t h = 0; h < t.chi_pts.size(); ++h) {
+        eps_pts[t.key].push_back(t.chi_pts[h]);
+        eps_sc[t.key].push_back(-rz * t.chi_sc[h]);
+      }
       gen_sc[t.key] = gen_sc[t.key] - t.rho * t.y;
       delta_pts[t.key].push_back(t.psi);
       delta_sc[t.key].push_back(-rz);

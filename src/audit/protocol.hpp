@@ -37,14 +37,25 @@ struct ProverTimings {
   double gt_ms = 0;   // privacy extras: R = e(g1,eps)^z and y'
 };
 
+/// The prepared shifted-base MSM table over pk.g1_alpha_powers that turns
+/// the prover's psi MSM into table lookups: a one-time ~130-doubling chain
+/// per SRS power, and 2·(s−1)·(⌈127/c⌉ + 1) affine points of 72 bytes for its
+/// window c (8..10 at s ≤ 50): 7,344 B at s = 4, 20,736 B at s = 10,
+/// 98,784 B at s = 50. Null when the key has fewer than two powers (s ≤ 2),
+/// where psi is at most one plain scalar mul. Immutable once built, so every
+/// prover of the key — on any thread — can borrow one table.
+std::shared_ptr<const curve::MsmBasesTable<G1>> prepare_psi_table(
+    const PublicKey& pk);
+
 class Prover {
  public:
-  /// Borrows all three for the Prover's lifetime; the caller must keep them
-  /// alive AND at stable addresses (beware std::vector reallocation of
-  /// KeyPair/EncodedFile/FileTag holders). Construction also builds the
-  /// prepared shifted-base MSM tables for pk.g1_alpha_powers (the psi MSM),
-  /// a one-time ~254 doublings per SRS power that every prove() amortizes;
-  /// pass prepare_psi = false to skip it for one-shot provers.
+  /// Borrows pk, file and tag for the Prover's lifetime; the caller must
+  /// keep them alive AND at stable addresses (beware std::vector
+  /// reallocation of KeyPair/EncodedFile/FileTag holders). `psi_table` is
+  /// the key's prepare_psi_table(pk), shared read-only — a service proving
+  /// many files under one key (NetworkSim) builds it once per key and every
+  /// prover, transient or long-lived, borrows it. Null proves psi through a
+  /// cold MSM.
   ///
   /// prepare_sigma additionally builds the same kind of table over the tag
   /// sigmas, turning the sigma MSM into a table-driven subset MSM over the
@@ -52,6 +63,13 @@ class Prover {
   /// verifier's chi). Opt-in: the build costs ~254 doublings per chunk and
   /// ~positions * num_chunks * 72 bytes of memory, which only a prover
   /// serving many rounds of one contract amortizes (NetworkSim does).
+  Prover(const PublicKey& pk, const storage::EncodedFile& file,
+         const FileTag& tag,
+         std::shared_ptr<const curve::MsmBasesTable<G1>> psi_table,
+         bool prepare_sigma = false);
+
+  /// Same, building a private psi table unless prepare_psi = false (a
+  /// one-shot prover skips it and proves psi cold).
   Prover(const PublicKey& pk, const storage::EncodedFile& file,
          const FileTag& tag, bool prepare_psi = true,
          bool prepare_sigma = false);

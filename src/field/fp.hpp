@@ -71,9 +71,11 @@ namespace detail {
 /// optimization: the modulus' top limb is below 2^62 (static_asserted for
 /// both BN254 moduli), so the interleaved multiply/reduce columns never
 /// spill into a fifth limb and the product fits in four words plus two
-/// running carries. Requires a, b < modulus. Lives in the header so it
-/// inlines into the field operators — this is the innermost loop of every
-/// curve operation.
+/// running carries. Requires a < 2^256 and b < modulus: the accumulator
+/// then stays below b + p < 2p, so the one final subtraction fully reduces
+/// the result even for a >= p (from_u256 relies on this). Lives in the
+/// header so it inlines into the field operators — this is the innermost
+/// loop of every curve operation.
 constexpr U256 mont_mul(const U256& a, const U256& b, const MontParams& P) {
   using bigint::u128;
   const std::array<u64, 4>& q = P.modulus.limb;
@@ -127,14 +129,6 @@ constexpr U256 horner(std::initializer_list<u64> coeffs, u64 t) {
   return acc;
 }
 
-/// True iff k * p > 2^256.
-constexpr bool multiple_exceeds_2_256(const U256& p, int k) {
-  U256 acc;
-  u64 carries = 0;
-  for (int i = 0; i < k; ++i) carries += bigint::add_with_carry(acc, p, acc);
-  return carries > 1 || (carries == 1 && !acc.is_zero());
-}
-
 }  // namespace detail
 
 /// A prime-field element. Tag supplies the constants as Tag::kParams.
@@ -155,17 +149,12 @@ class PrimeField {
 
   static PrimeField from_u64(u64 v) { return from_u256(U256{v}); }
 
-  /// Reduce an arbitrary 256-bit value mod p and lift to Montgomery form.
-  /// 6p > 2^256 (static_asserted below), so at most five subtractions of p
-  /// reduce any 256-bit value.
+  /// Reduce an arbitrary 256-bit value mod p and lift to Montgomery form:
+  /// v * R^2 * R^-1 = v * R (mod p), which mont_mul returns fully reduced
+  /// for any v < 2^256 because R^2 mod p < p.
   static PrimeField from_u256(const U256& v) {
-    const auto& P = params();
-    U256 reduced = v;
-    for (int i = 0; i < 5 && !bigint::lt(reduced, P.modulus); ++i) {
-      bigint::sub_with_borrow(reduced, P.modulus, reduced);
-    }
     PrimeField r;
-    r.v_ = detail::mont_mul(reduced, P.r2_mod, P);
+    r.v_ = detail::mont_mul(v, params().r2_mod, params());
     return r;
   }
 
@@ -341,9 +330,6 @@ static_assert(detail::mont_mul(FpTag::kParams.r3_mod, U256{1}, FpTag::kParams) =
                   detail::mont_mul(FrTag::kParams.r3_mod, U256{1}, FrTag::kParams) ==
                       FrTag::kParams.r2_mod,
               "mont_mul(R^3, 1) != R^2");
-static_assert(detail::multiple_exceeds_2_256(FpTag::kParams.modulus, 6) &&
-                  detail::multiple_exceeds_2_256(FrTag::kParams.modulus, 6),
-              "from_u256 needs 6p > 2^256");
 
 /// 6t^2, which for BN curves is exactly p - r: the 127-bit exponent of the
 /// G2 and GT subgroup checks (curve/g2.cpp, pairing/pairing.cpp).

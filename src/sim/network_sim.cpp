@@ -215,8 +215,10 @@ void NetworkSim::deploy() {
   // setting. With a key pool, owners share config_.key_pool keypairs and
   // every contract borrows one of as many shared prepared Verifiers — the
   // per-contract verifier tables are what dominate memory at 10^5+ owners.
-  // Keys are sized up front: provers, verifiers and contracts borrow them
-  // for their whole lifetime, so nothing may reallocate underneath.
+  // Each key also gets its one prepared psi table, which every prover of the
+  // key borrows read-only. Keys are sized up front: provers, verifiers and
+  // contracts borrow them for their whole lifetime, so nothing may
+  // reallocate underneath.
   if (config_.key_pool > 0) {
     pool_keys_.resize(config_.key_pool);
     parallel::parallel_for(config_.key_pool, [&](std::size_t k) {
@@ -225,15 +227,19 @@ void NetworkSim::deploy() {
       pool_keys_[k] = audit::keygen(config_.s, key_rng);
     });
     pool_verifiers_.resize(config_.key_pool);
+    psi_tables_.resize(config_.key_pool);
     parallel::parallel_for(config_.key_pool, [&](std::size_t k) {
       pool_verifiers_[k] = std::make_unique<audit::Verifier>(pool_keys_[k].pk);
+      psi_tables_[k] = audit::prepare_psi_table(pool_keys_[k].pk);
     });
   } else {
     owner_keys_.resize(config_.num_owners);
+    psi_tables_.resize(config_.num_owners);
     parallel::parallel_for(config_.num_owners, [&](std::size_t o) {
       auto key_rng = primitives::SecureRng::deterministic(
           config_.rng_seed ^ (0xC2B2AE3D27D4EB4FULL * (o + 1)));
       owner_keys_[o] = audit::keygen(config_.s, key_rng);
+      psi_tables_[o] = audit::prepare_psi_table(owner_keys_[o].pk);
     });
     if (streaming) {
       // No pool, but contracts still must not each own a verifier: share one
@@ -248,13 +254,14 @@ void NetworkSim::deploy() {
 
   // Phase 3 (parallel): the heavy per-deployment crypto. Full retention
   // materializes everything — file encoding, failure injection on the held
-  // copy, tag generation, the prover's prepared MSM tables and the
+  // copy, tag generation, the prover's sigma table (psi is the key's) and the
   // verifier-side per-file context — exactly as the original simulator did.
   // Streaming computes the same tags over the same Fr values but keeps only
   // the tag and the chunk count: data is regenerated and a transient prover
-  // built per challenge (streaming_prove), and contracts verify through the
-  // cold per-round path. Whole deployments shard across the pool; the
-  // primitives' own inner sharding collapses inline on workers.
+  // over the key's psi table built per challenge (streaming_prove), and
+  // contracts verify through the cold per-round path. Whole deployments
+  // shard across the pool; the primitives' own inner sharding collapses
+  // inline on workers.
   std::vector<audit::PreparedFile> file_ctxs;
   if (!streaming) file_ctxs.resize(deployments_.size());
   parallel::parallel_for(deployments_.size(), [&](std::size_t i) {
@@ -281,11 +288,10 @@ void NetworkSim::deploy() {
         for (auto& b : dep.held.chunks[0]) b = audit::Fr::zero();
         hot_corruption_[i] = static_cast<std::uint8_t>(Corruption::DropChunk);
       }
-      // Contract-serving provers answer num_audits rounds: build both
-      // prepared MSM tables (psi over the SRS powers, sigma over the tags).
+      // Contract-serving provers answer num_audits rounds: borrow the key's
+      // psi table and build the per-file sigma table over the tags.
       dep.prover = std::make_unique<audit::Prover>(
-          kp.pk, dep.held, dep.tag, /*prepare_psi=*/true,
-          /*prepare_sigma=*/true);
+          kp.pk, dep.held, dep.tag, psi_table_of(o), /*prepare_sigma=*/true);
       file_ctxs[i] = audit::prepare_file(dep.name, dep.num_chunks);
     }
   });
@@ -328,8 +334,9 @@ std::optional<std::vector<std::uint8_t>> NetworkSim::streaming_prove(
   // Regenerate this deployment's chunks from the owner seed (repaired shards
   // carry byte-identical content to the originals — reconstruction equality
   // is checked before any repair proceeds), apply the provider's corruption
-  // state, and prove through a transient table-less prover. Same Fr values
-  // as the materialized path; nothing retained afterwards.
+  // state, and prove through a transient prover that borrows the key's psi
+  // table. Same Fr values as the materialized path; nothing retained
+  // afterwards.
   auto shards = owner_shards_of(o);
   storage::EncodedFile held =
       storage::encode_file(shards[dep.placement.shard], config_.s);
@@ -345,8 +352,7 @@ std::optional<std::vector<std::uint8_t>> NetworkSim::streaming_prove(
     case Corruption::None:
       break;
   }
-  audit::Prover prover(key_of(o).pk, held, dep.tag, /*prepare_psi=*/false,
-                       /*prepare_sigma=*/false);
+  audit::Prover prover(key_of(o).pk, held, dep.tag, psi_table_of(o));
   if (config_.private_proofs) {
     return audit::serialize(prover.prove_private(chal, rng));
   }
@@ -404,8 +410,7 @@ std::optional<std::vector<std::uint8_t>> NetworkSim::adversarial_prove(
       }
     }
   }
-  audit::Prover prover(key_of(o).pk, held, dep.tag, /*prepare_psi=*/false,
-                       /*prepare_sigma=*/false);
+  audit::Prover prover(key_of(o).pk, held, dep.tag, psi_table_of(o));
   std::vector<std::uint8_t> bytes;
   if (config_.private_proofs) {
     if (action == attack::AdversaryAction::GrindProof) {
@@ -806,9 +811,9 @@ void NetworkSim::run_repair(std::size_t dep_index, chain::Timestamp now) {
   if (!streaming) {
     nd->file = std::move(nd_file);
     nd->held = nd->file;
-    nd->prover = std::make_unique<audit::Prover>(key_of(o).pk, nd->held,
-                                                 nd->tag, /*prepare_psi=*/true,
-                                                 /*prepare_sigma=*/true);
+    nd->prover = std::make_unique<audit::Prover>(
+        key_of(o).pk, nd->held, nd->tag, psi_table_of(o),
+        /*prepare_sigma=*/true);
     file_ctx = audit::prepare_file(nd->name, nd->num_chunks);
   }
 

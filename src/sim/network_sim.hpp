@@ -281,7 +281,8 @@ class NetworkSim {
     audit::FileTag tag;
     audit::Fr name;
     std::size_t num_chunks = 0;  // chunks in this shard's encoded file
-    std::unique_ptr<audit::Prover> prover;  // full retention: prepared tables
+    std::unique_ptr<audit::Prover> prover;  // full retention: sigma table
+                                            // + the key's psi table
     // Private-proof masking randomness. Per-deployment (seeded from the
     // network seed + deployment index) so concurrently-prepared audit rounds
     // never share an RNG stream: results stay deterministic at every
@@ -312,6 +313,12 @@ class NetworkSim {
     return config_.key_pool ? pool_keys_[owner % config_.key_pool]
                             : owner_keys_[owner];
   }
+  /// That key's prepared psi table (null at s <= 2), borrowed read-only by
+  /// every prover of the key.
+  const std::shared_ptr<const curve::MsmBasesTable<audit::G1>>& psi_table_of(
+      std::size_t owner) const {
+    return psi_tables_[config_.key_pool ? owner % config_.key_pool : owner];
+  }
   /// Shared prepared verifier for this owner's contracts, or null when each
   /// contract owns its verifier (full retention without a key pool — the
   /// historical layout).
@@ -322,8 +329,8 @@ class NetworkSim {
   /// The owner's erasure-coded shards (same sourcing rule).
   std::vector<std::vector<std::uint8_t>> owner_shards_of(std::size_t owner) const;
   /// Streaming responder backend: regenerate this deployment's encoded
-  /// chunks (applying its corruption state), build a transient table-less
-  /// prover, and serialize the proof.
+  /// chunks (applying its corruption state), build a transient prover that
+  /// borrows the key's psi table, and serialize the proof.
   std::optional<std::vector<std::uint8_t>> streaming_prove(
       std::size_t dep_index, const audit::Challenge& chal,
       primitives::SecureRng& rng) const;
@@ -386,6 +393,10 @@ class NetworkSim {
   std::vector<audit::KeyPair> pool_keys_;
   std::vector<std::unique_ptr<audit::Verifier>> pool_verifiers_;
   std::vector<std::unique_ptr<audit::Verifier>> owner_verifiers_;  // streaming
+  // One prepared psi table per key (indexed like pool_keys_, else like
+  // owner_keys_), shared by every prover of that key.
+  std::vector<std::shared_ptr<const curve::MsmBasesTable<audit::G1>>>
+      psi_tables_;
   // Full retention only; streaming regenerates via owner_data_of/_shards_of.
   std::vector<std::vector<std::uint8_t>> owner_data_;
   std::vector<std::vector<std::vector<std::uint8_t>>> owner_shards_;

@@ -6,6 +6,7 @@
 #include "audit/protocol.hpp"
 #include "audit/serialize.hpp"
 #include "pairing/pairing.hpp"
+#include "poly/polynomial.hpp"
 
 namespace dsaudit::audit {
 namespace {
@@ -321,6 +322,89 @@ TEST(AuditProver, PreparedPsiTablesMatchColdPath) {
     EXPECT_EQ(a.y, b.y);
     EXPECT_EQ(a.psi, b.psi);
   }
+}
+
+TEST(AuditProver, SharedPsiTableMatchesColdPath) {
+  // A prover borrowing the key's shared psi table must emit byte-for-byte
+  // the proofs of a prover owning its table and of a table-less prover, and
+  // psi must equal a cold MSM of the KZG quotient over the SRS powers.
+  for (std::size_t s : {1u, 2u, 4u, 10u}) {
+    SCOPED_TRACE("s = " + std::to_string(s));
+    auto rng = SecureRng::deterministic(460 + s);
+    Scenario sc = make_scenario(3000, s, rng);
+    auto table = prepare_psi_table(sc.kp.pk);
+    // Only a key with two or more SRS powers (s >= 3) gets a table.
+    ASSERT_EQ(table != nullptr, s >= 3);
+    if (table) {
+      EXPECT_EQ(table->n, s - 1);
+    }
+
+    // A second file under the same key shares the one table.
+    auto data2 = random_bytes(2000, rng);
+    storage::EncodedFile file2 = storage::encode_file(data2, s);
+    Fr name2 = Fr::random(rng);
+    FileTag tag2 = generate_tags(sc.kp.sk, sc.kp.pk, file2, name2);
+
+    const Prover borrowed(sc.kp.pk, sc.file, sc.tag, table);
+    const Prover borrowed2(sc.kp.pk, file2, tag2, table);
+    const Prover owning(sc.kp.pk, sc.file, sc.tag, /*prepare_psi=*/true);
+    const Prover owning2(sc.kp.pk, file2, tag2, /*prepare_psi=*/true);
+    const Prover tableless(sc.kp.pk, sc.file, sc.tag, /*prepare_psi=*/false);
+    if (table) {
+      EXPECT_EQ(table.use_count(), 3);
+    }
+    Verifier verifier(sc.kp.pk);
+
+    for (int i = 0; i < 3; ++i) {
+      Challenge chal = make_challenge(rng, 1 + 2 * i);
+      const ProofBasic a = borrowed.prove(chal);
+      EXPECT_EQ(serialize(a), serialize(owning.prove(chal)));
+      EXPECT_EQ(serialize(a), serialize(tableless.prove(chal)));
+      EXPECT_EQ(serialize(borrowed2.prove(chal)),
+                serialize(owning2.prove(chal)));
+      EXPECT_TRUE(verifier.verify(sc.name, sc.file.num_chunks(), chal, a));
+
+      // The test-side oracle: P_k = sum_j c_j M_{i_j}, its quotient by
+      // (x - r), and a cold MSM over g1_alpha_powers.
+      ExpandedChallenge ex = expand_challenge(chal, sc.file.num_chunks());
+      std::vector<Fr> p(s, Fr::zero());
+      for (std::size_t j = 0; j < ex.indices.size(); ++j) {
+        for (std::size_t l = 0; l < s; ++l) {
+          p[l] += ex.coefficients[j] * sc.file.chunks[ex.indices[j]][l];
+        }
+      }
+      auto [quotient, y] =
+          poly::Polynomial(std::move(p)).divide_by_linear(chal.r);
+      auto qc = quotient.coefficients();
+      const G1 psi_oracle =
+          qc.empty() ? G1::infinity()
+                     : curve::msm<G1>(std::span<const G1>(
+                                          sc.kp.pk.g1_alpha_powers.data(),
+                                          qc.size()),
+                                      qc);
+      EXPECT_EQ(a.psi, psi_oracle);
+      EXPECT_EQ(a.y, y);
+
+      auto rng_a = SecureRng::deterministic(600 + i);
+      auto rng_b = SecureRng::deterministic(600 + i);
+      auto rng_c = SecureRng::deterministic(600 + i);
+      const ProofPrivate pa = borrowed.prove_private(chal, rng_a);
+      EXPECT_EQ(serialize(pa), serialize(owning.prove_private(chal, rng_b)));
+      EXPECT_EQ(serialize(pa), serialize(tableless.prove_private(chal, rng_c)));
+      EXPECT_EQ(pa.psi, psi_oracle);
+      EXPECT_TRUE(
+          verifier.verify_private(sc.name, sc.file.num_chunks(), chal, pa));
+    }
+  }
+}
+
+TEST(AuditProver, SharedPsiTableOfWrongSizeRejected) {
+  // A table over another key's SRS size cannot be borrowed.
+  auto rng = SecureRng::deterministic(470);
+  Scenario sc = make_scenario(2000, 4, rng);
+  KeyPair other = keygen(6, rng);
+  EXPECT_THROW(Prover(sc.kp.pk, sc.file, sc.tag, prepare_psi_table(other.pk)),
+               std::invalid_argument);
 }
 
 TEST(AuditTags, ParallelMatchesSerial) {

@@ -116,7 +116,10 @@ TEST(Fp, ReductionOfLargeValues) {
 
 // The Montgomery kernel against the shift-subtract slow path, on random
 // operands and on 0, 1, p-1, p-2 and (p-1)/2: both the field product and
-// the raw kernel, whose output times R must equal a*b mod p.
+// the raw kernel, whose output times R must equal a*b mod p. The raw kernel
+// also runs with a >= p (2^256-1 and k*p+j), which its "a < 2^256, b < p"
+// precondition admits and from_u256 relies on: the output must still be
+// fully reduced.
 template <typename F>
 void check_mul_against_slow_path(std::uint64_t seed) {
   const MontParams& P = F::params();
@@ -134,6 +137,24 @@ void check_mul_against_slow_path(std::uint64_t seed) {
       EXPECT_EQ((F::from_u256(a) * F::from_u256(b)).to_u256(), expect);
       EXPECT_EQ(bigint::mul_mod_slow(detail::mont_mul(a, b, P), P.r_mod, p),
                 expect);
+    }
+  }
+  const VarUInt pv{p};
+  const VarUInt two_256 = VarUInt{1}.shl(256);
+  std::vector<U256> wide{(two_256 - VarUInt{1}).to_u256()};
+  for (u64 k = 1; k <= 5; ++k) {
+    for (const VarUInt& j : {VarUInt{0}, VarUInt{1}, pv - VarUInt{1}}) {
+      const VarUInt v = VarUInt{k} * pv + j;
+      if (VarUInt::cmp(v, two_256) < 0) wide.push_back(v.to_u256());
+    }
+  }
+  for (const U256& a : wide) {
+    const U256 a_mod = VarUInt::divmod(VarUInt{a}, pv).second.to_u256();
+    for (const U256& b : ops) {
+      const U256 out = detail::mont_mul(a, b, P);
+      EXPECT_TRUE(bigint::lt(out, p));
+      EXPECT_EQ(bigint::mul_mod_slow(out, P.r_mod, p),
+                bigint::mul_mod_slow(a_mod, b, p));
     }
   }
 }
@@ -365,7 +386,9 @@ bool expect_matches_oracle(const F& a) {
   auto fast = sqrt(a);
   auto ref = oracle::ts_sqrt(a);
   EXPECT_EQ(fast.has_value(), ref.has_value());
-  if (fast && ref) EXPECT_TRUE(*fast == *ref || *fast == -*ref);
+  if (fast && ref) {
+    EXPECT_TRUE(*fast == *ref || *fast == -*ref);
+  }
   return ref.has_value();
 }
 

@@ -174,7 +174,9 @@ TEST(Settlement, PrivateAndMixedProofBatches) {
   out = audit::verify_settlement(instances, seed_of(rng));
   EXPECT_FALSE(out.ok[2]);
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (i != 2) EXPECT_TRUE(out.ok[i]) << i;
+    if (i != 2) {
+      EXPECT_TRUE(out.ok[i]) << i;
+    }
   }
 }
 
@@ -280,6 +282,83 @@ TEST(Settlement, ColdPathWithoutPreparedFileMatches) {
       audit::verify_settlement(std::span<const SettlementInstance>(&inst, 1),
                                seed_of(rng))
           .all_ok());
+}
+
+TEST(Settlement, FoldedChiMatchesPreparedFile) {
+  // Without a PreparedFile the engine folds each chunk hash H(name||i_j)
+  // into the eps-slot MSM with its own coefficient instead of materializing
+  // chi; with one it folds the table-built chi. Both must settle every batch
+  // identically: verdicts, check counts and the aggregated opening.
+  auto rng = SecureRng::deterministic(912);
+  Scenario a = make_scenario(3000, 5, rng);
+  // A small file: k = d challenges every chunk, so the chunk hashes repeat
+  // across instances and land in one MSM several times.
+  Scenario b = make_scenario(400, 4, rng);
+  ASSERT_LE(b.file.num_chunks(), 8u);
+  Verifier va(a.kp.pk), vb(b.kp.pk);
+  PreparedFile ca = audit::prepare_file(a.name, a.file.num_chunks());
+  PreparedFile cb = audit::prepare_file(b.name, b.file.num_chunks());
+  Prover pa(a.kp.pk, a.file, a.tag), pb(b.kp.pk, b.file, b.tag);
+
+  std::vector<SettlementInstance> prepared;
+  const Challenge shared = make_challenge(rng, 3);
+  for (int i = 0; i < 8; ++i) {
+    SettlementInstance inst;
+    const bool on_a = i % 3 != 2;
+    const Scenario& sc = on_a ? a : b;
+    inst.verifier = on_a ? &va : &vb;
+    inst.file = on_a ? &ca : &cb;
+    inst.name = sc.name;
+    inst.num_chunks = sc.file.num_chunks();
+    // Two instances of `a` repeat one challenge (same indices, same c_j).
+    const std::size_t k = on_a ? 1 + i : b.file.num_chunks();
+    inst.challenge = (i == 0 || i == 3) ? shared : make_challenge(rng, k);
+    const Prover& p = on_a ? pa : pb;
+    if (i % 2 == 0) {
+      inst.basic = p.prove(inst.challenge);
+    } else {
+      inst.priv = p.prove_private(inst.challenge, rng);
+    }
+    prepared.push_back(std::move(inst));
+  }
+
+  audit::SettlementOptions opts;
+  opts.compute_aggregate_opening = true;
+  auto expect_same = [&](std::span<const SettlementInstance> with_file,
+                         std::size_t culprit) {
+    std::vector<SettlementInstance> folded(with_file.begin(), with_file.end());
+    for (auto& inst : folded) inst.file = nullptr;
+    const auto seed = seed_of(rng);
+    const SettlementOutcome x = audit::verify_settlement(with_file, seed, opts);
+    const SettlementOutcome y = audit::verify_settlement(folded, seed, opts);
+    EXPECT_EQ(x.ok, y.ok);
+    EXPECT_EQ(x.batch_checks, y.batch_checks);
+    EXPECT_EQ(x.single_checks, y.single_checks);
+    EXPECT_EQ(x.aggregated_opening, y.aggregated_opening);
+    for (std::size_t i = 0; i < with_file.size(); ++i) {
+      EXPECT_EQ(x.ok[i], i != culprit) << "instance " << i;
+    }
+    return x;
+  };
+
+  constexpr std::size_t kNone = ~std::size_t{0};
+  const SettlementOutcome clean = expect_same(prepared, kNone);
+  EXPECT_EQ(clean.batch_checks, 1u);
+  EXPECT_EQ(clean.single_checks, 0u);
+
+  // One tampered instance (a private proof of key b) is bisected to.
+  std::vector<SettlementInstance> dirty = prepared;
+  dirty[5].priv->y_prime += Fr::one();
+  const SettlementOutcome bisected = expect_same(dirty, 5);
+  EXPECT_GT(bisected.single_checks, 0u);
+
+  // Single-instance batches take the exact check on both paths.
+  for (std::size_t i : {0u, 1u, 5u}) {
+    const SettlementOutcome one = expect_same(
+        std::span<const SettlementInstance>(&prepared[i], 1), kNone);
+    EXPECT_EQ(one.single_checks, 1u);
+  }
+  expect_same(std::span<const SettlementInstance>(&dirty[5], 1), 0);
 }
 
 TEST(Settlement, CheaterAtEveryWindowPosition) {
