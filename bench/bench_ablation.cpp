@@ -100,14 +100,14 @@ int main() {
     double t_comp = time_best_ms([&] { (void)audit::gt_compress(proof.big_r); });
     auto bytes = audit::gt_compress(proof.big_r);
     double t_decomp = time_best_ms([&] {
-      if (!audit::gt_decompress(bytes)) std::abort();
+      if (!audit::gt_decode(bytes)) std::abort();
     });
     std::printf("proof: %zu B compressed vs %zu B raw (-%zu B calldata "
                 "= %llu gas/audit saved)\n",
                 wire.size(), uncompressed, uncompressed - wire.size(),
                 static_cast<unsigned long long>((uncompressed - wire.size()) * 16));
     std::printf("cost: compress %.3f ms (prover), decompress %.2f ms "
-                "(Fp6 root + GT subgroup check, verifier side)\n", t_comp, t_decomp);
+                "(Fp6 inversion + GT subgroup check, verifier side)\n", t_comp, t_decomp);
   }
   return 0;
 }

@@ -70,20 +70,21 @@ std::vector<Mutation> proof_mutations(std::span<const std::uint8_t> valid) {
   if (priv) {
     {
       auto b = copy_of(valid);
-      saturate(b, 96, 192);  // every GT coordinate >= p (flags masked to 0x3F
-                             // still leave the first one non-canonical)
+      saturate(b, 96, 192);  // every GT coordinate >= p (and both flag bits
+                             // set over the first)
       out.push_back(make("gt-noncanonical-coords", std::move(b)));
     }
     {
       auto b = copy_of(valid);
-      b[96] |= 0xC0;  // b==0 flag AND lex-sign flag: contradictory
-      out.push_back(make("gt-contradictory-flags", std::move(b)));
+      b[96] |= 0x40;  // the reserved GT flag bit must be zero
+      out.push_back(make("gt-reserved-bit", std::move(b)));
     }
     {
       auto b = copy_of(valid);
-      // Claim b == 0 over coordinates whose a^2 != 1: no such GT element.
+      // The identity flag is canonical only over an all-zero body; a valid
+      // R's torus parameter is never zero.
       b[96] = static_cast<std::uint8_t>((b[96] & 0x3F) | 0x80);
-      out.push_back(make("gt-false-b-zero-flag", std::move(b)));
+      out.push_back(make("gt-identity-flag-nonzero-body", std::move(b)));
     }
     {
       // A basic-sized prefix of a private proof (and vice versa below):

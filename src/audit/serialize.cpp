@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "field/sqrt.hpp"
 #include "pairing/pairing.hpp"
 
 namespace dsaudit::audit {
@@ -42,14 +41,6 @@ std::optional<Fp6> read_fp6(const std::uint8_t* in) {
              Fp2{coords[4], coords[5]}};
 }
 
-/// Deterministic sign: lexicographic comparison of canonical encodings.
-bool fp6_lex_greater(const Fp6& a, const Fp6& b) {
-  std::uint8_t ab[192], bb[192];
-  write_fp6(a, ab);
-  write_fp6(b, bb);
-  return std::lexicographical_compare(bb, bb + 192, ab, ab + 192);
-}
-
 Fr read_fr(const std::uint8_t* in) {
   // Scalars are transmitted canonically; out-of-range values are rejected by
   // the caller via the NonCanonicalScalar path before this is reached.
@@ -84,50 +75,40 @@ std::array<std::uint8_t, 192> gt_compress(const Fp12& g) {
     throw std::invalid_argument("gt_compress: element is not unit-norm GT");
   }
   std::array<std::uint8_t, 192> out{};
-  write_fp6(g.c0, out.data());
-  // Flags in the spare top bits of the first coordinate (Fp < 2^254).
   if (g.c1.is_zero()) {
-    out[0] |= 0x80;  // b == 0: g = a with a^2 = 1
-  } else if (fp6_lex_greater(g.c1, -g.c1)) {
-    out[0] |= 0x40;
+    // a^2 = 1: the identity takes the flag, -1 is c = 0 (all-zero body).
+    if (g.c0.is_one()) out[0] = 0x80;
+    return out;
   }
+  // b != 0 forces a != -1 (v b^2 = a^2 - 1 != 0), so c is non-zero.
+  write_fp6((Fp6::one() + g.c0) * g.c1.inverse(), out.data());
   return out;
 }
 
 DecodeResult<Fp12> gt_decode(std::span<const std::uint8_t, 192> bytes) {
   using R = DecodeResult<Fp12>;
-  std::array<std::uint8_t, 192> buf;
-  std::copy(bytes.begin(), bytes.end(), buf.begin());
-  bool b_zero = (buf[0] & 0x80) != 0;
-  bool b_greater = (buf[0] & 0x40) != 0;
-  buf[0] &= 0x3f;
-  auto a = read_fp6(buf.data());
-  if (!a) return R::failure(DecodeError::BadGtElement);
-  Fp12 g;
-  if (b_zero) {
-    if (b_greater) return R::failure(DecodeError::BadGtElement);
-    if (!a->square().is_one()) return R::failure(DecodeError::BadGtElement);
-    g = Fp12{*a, Fp6::zero()};
-  } else {
-    // b^2 = (a^2 - 1) / v, where (c0, c1, c2) / v = (c1, c2, c0 / xi)
-    // because v^3 = xi.
-    static const Fp2 xi_inv = ff::xi().inverse();
-    Fp6 c = a->square() - Fp6::one();
-    Fp6 b2{c.c1, c.c2, c.c0 * xi_inv};
-    auto b = ff::sqrt(b2);
-    if (!b || b->is_zero()) return R::failure(DecodeError::BadGtElement);
-    Fp6 chosen = (fp6_lex_greater(*b, -*b) == b_greater) ? *b : -*b;
-    g = Fp12{*a, chosen};
+  // The identity is flag 0x80 over an all-zero body. Any other top bit of
+  // byte 0 (the reserved 0x40, or the flag over a non-zero body) makes the
+  // first coordinate >= 2^254 > p, which read_fp6 refuses.
+  if (bytes[0] == 0x80 && std::all_of(bytes.begin() + 1, bytes.end(),
+                                      [](std::uint8_t x) { return x == 0; })) {
+    return R::success(Fp12::one());
   }
-  // Unit norm (established above) is necessary but not sufficient: it admits
-  // the whole order-(p^6+1) subgroup. Only genuine pairing outputs — the
+  auto c = read_fp6(bytes.data());
+  if (!c) return R::failure(DecodeError::BadGtElement);
+  // g = (c + w)/(c - w) = ((c^2 + v) + 2c w)/(c^2 - v), written as
+  // a = 1 + 2v d and b = 2c d with d = 1/(c^2 - v). v is a non-square in
+  // Fp6 (w^2 = v is irreducible), so c^2 - v never vanishes and every c is
+  // a unit-norm element.
+  Fp6 den = c->square();
+  den.c1 -= Fp2::one();
+  const Fp6 d = den.inverse().dbl();
+  const Fp12 g{Fp6::one() + d.mul_by_v(), *c * d};
+  // Unit norm is necessary but not sufficient: it admits the whole
+  // order-(p^6+1) subgroup (c = 0 is -1). Only genuine pairing outputs — the
   // order-r subgroup — deserialize.
   if (!pairing::gt_in_subgroup(g)) return R::failure(DecodeError::BadGtElement);
   return R::success(g);
-}
-
-std::optional<Fp12> gt_decompress(std::span<const std::uint8_t, 192> bytes) {
-  return gt_decode(bytes).value;
 }
 
 std::vector<std::uint8_t> serialize(const ProofBasic& proof) {
@@ -257,14 +238,15 @@ DecodeResult<PublicKey> decode_public_key(std::span<const std::uint8_t> bytes) {
     if (!p) return R::failure(DecodeError::BadPoint);
     pk.g1_alpha_powers.push_back(*p);
   }
+  // The sigma-protocol base is a function of epsilon: a shipped copy must be
+  // exactly e(g1, epsilon), or every honest private proof under this key
+  // would fail Eq. 2.
+  pk.e_g1_epsilon = pairing::pairing(G1::generator(), pk.epsilon);
   if (with_privacy) {
     auto r = gt_decode(
         std::span<const std::uint8_t, 192>(bytes.data() + base, 192));
     if (!r) return R::failure(r.error);
-    pk.e_g1_epsilon = *r;
-  } else {
-    // Recomputable from epsilon; one pairing.
-    pk.e_g1_epsilon = Fp12::zero();  // sentinel: filled by caller if needed
+    if (*r != pk.e_g1_epsilon) return R::failure(DecodeError::BadGtElement);
   }
   return R::success(std::move(pk));
 }

@@ -4,12 +4,18 @@
 //   ProofPrivate -> 288 bytes (sigma 32 | y' 32 | psi 32 | R 192) — Table II
 //
 // GT compression: after the final exponentiation every GT element g = a + bw
-// (a, b in Fp6) satisfies g * conj(g) = 1, i.e. a^2 - v b^2 = 1. We ship
-// only a (6 Fp = 192 bytes = the paper's "|GT| = 1536 bits") plus a sign bit
-// for b, recovered on decode by b = sqrt((a^2 - 1)/v) in Fp6. Decode cost is
-// that root (the norm method of field/sqrt.hpp: one 253-bit Fp6 power and an
-// Fp2 root) plus pairing::gt_in_subgroup (two Frobenius maps and a 127-bit
-// GT power); division by the constant v is a coefficient shift.
+// (a, b in Fp6) satisfies g * conj(g) = 1, i.e. a^2 - v b^2 = 1. We ship its
+// T2 torus parameter c = (1 + a)/b in Fp6 (Rubin–Silverberg, CRYPTO 2003;
+// Naehrig–Barreto–Schwabe, eprint 2007/429): 6 Fp = 192 bytes = the paper's
+// "|GT| = 1536 bits". Layout: six canonical big-endian Fp coordinates
+// (c0.c0, c0.c1, c1.c0, c1.c1, c2.c0, c2.c1); Fp < 2^254 leaves the top two
+// bits of byte 0 free. Bit 0x80 flags the identity (b = 0, a = 1) and must
+// sit over an all-zero body; bit 0x40 is reserved and must be zero. -1 is
+// c = 0 and fails the subgroup check. Decode is g = (c + w)/(c - w) =
+// ((c^2 + v) + 2c w)/(c^2 - v) — one Fp6 inversion, never zero because v is
+// a non-square in Fp6 — plus pairing::gt_in_subgroup (two Frobenius maps and
+// a 127-bit GT power). Every c is a distinct unit-norm element, so every
+// accepted encoding round-trips byte-exactly.
 //
 // Untrusted-bytes boundary: every decode_* function treats its input as
 // adversary-controlled. Buffers are bounds-checked BEFORE any length field is
@@ -56,8 +62,9 @@ enum class DecodeError {
   /// the curve, or malformed infinity/sign flag bits.
   BadPoint,
   /// A compressed GT element failed to decode: non-canonical Fp6
-  /// coordinates, (a^2-1)/v not a square, inconsistent flag bits, or the
-  /// recovered element outside the order-r pairing subgroup.
+  /// coordinates, bad flag bits, the decoded element outside the order-r
+  /// pairing subgroup, or a key's e(g1, epsilon) that does not match its
+  /// epsilon.
   BadGtElement,
   /// A field that the protocol requires to be nonzero (s, k, secret-key
   /// components, the key's G2 points) decoded to zero/identity.
@@ -82,15 +89,13 @@ struct DecodeResult {
   static DecodeResult failure(DecodeError e) { return {std::nullopt, e}; }
 };
 
-/// 192-byte encoding of a unit-norm (cyclotomic-subgroup) GT element.
+/// 192-byte T2 encoding of a unit-norm GT element (layout above).
 /// Throws std::invalid_argument if the element is not unit-norm.
 std::array<std::uint8_t, 192> gt_compress(const Fp12& g);
 /// Typed decode; BadGtElement on any malformed input (non-canonical
-/// coordinates, (a^2-1)/v not a square, bad flag bits, outside the order-r
-/// subgroup).
+/// coordinates, reserved bit set, identity flag over a non-zero body, or the
+/// decoded element outside the order-r subgroup).
 DecodeResult<Fp12> gt_decode(std::span<const std::uint8_t, 192> bytes);
-/// nullopt-shaped wrapper over gt_decode.
-std::optional<Fp12> gt_decompress(std::span<const std::uint8_t, 192> bytes);
 
 std::vector<std::uint8_t> serialize(const ProofBasic& proof);
 DecodeResult<ProofBasic> decode_basic(std::span<const std::uint8_t> bytes);
@@ -99,6 +104,8 @@ std::vector<std::uint8_t> serialize(const ProofPrivate& proof);
 DecodeResult<ProofPrivate> decode_private(std::span<const std::uint8_t> bytes);
 
 /// Public key serialization (the Initialize-phase on-chain record, Fig. 4).
+/// Decode always sets e_g1_epsilon = e(g1, epsilon): computed when the key
+/// omits it, compared (BadGtElement on mismatch) when it carries it.
 std::vector<std::uint8_t> serialize(const PublicKey& pk, bool with_privacy);
 DecodeResult<PublicKey> decode_public_key(std::span<const std::uint8_t> bytes);
 

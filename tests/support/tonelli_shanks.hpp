@@ -1,14 +1,13 @@
-// Generic Tonelli–Shanks square roots over Fp2 and Fp6: the differential
-// oracle for the complex-method and norm-method roots in field/sqrt.cpp.
-// Test-only — two ~p^2- and ~p^6-bit ladders per root, far too slow for the
-// decode path.
+// Generic Tonelli–Shanks square roots over Fp2: the differential oracle for
+// the complex-method root in field/sqrt.cpp. Test-only — ~p^2-bit ladders
+// per root, far too slow for the decode path.
 #pragma once
 
 #include <functional>
 #include <optional>
 #include <stdexcept>
 
-#include "field/fp6.hpp"
+#include "field/fp2.hpp"
 
 namespace dsaudit::ff::oracle {
 
@@ -80,22 +79,6 @@ inline std::optional<Fp2> ts_sqrt(const Fp2& a) {
     // Fp2 (its Euler exponent (p^2-1)/2 is a multiple of p-1).
     return make_ts_context<Fp2>(
         p * p, [](u64 n) { return Fp2::from_u64(n & 0xff, 1 + (n >> 8)); });
-  }();
-  return tonelli_shanks(a, ctx);
-}
-
-inline std::optional<Fp6> ts_sqrt(const Fp6& a) {
-  static const TsContext<Fp6> ctx = [] {
-    VarUInt p{Fp::modulus()};
-    VarUInt q = VarUInt::pow(p, 6);
-    // A quadratic non-residue of Fp2 stays a non-residue in Fp6 (the
-    // extension degree 3 is odd: (p^6-1)/2 = (p^2-1)/2 * (p^4+p^2+1) with an
-    // odd second factor), so candidates are Fp2 elements with a non-zero
-    // u-part — never pure base-field elements, which are always squares and
-    // would make the search crawl through hundreds of 1500-bit Euler tests.
-    return make_ts_context<Fp6>(q, [](u64 n) {
-      return Fp6(Fp2::from_u64(n & 0xff, 1 + (n >> 8)), Fp2::zero(), Fp2::zero());
-    });
   }();
   return tonelli_shanks(a, ctx);
 }

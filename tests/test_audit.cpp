@@ -512,13 +512,13 @@ TEST(AuditWire, GtCompressionRoundTrip) {
     // Any pairing output is unit-norm.
     Fp12 g = ::dsaudit::pairing::pairing(curve::g1_random(rng), curve::g2_random(rng));
     auto bytes = gt_compress(g);
-    auto back = gt_decompress(bytes);
+    auto back = gt_decode(bytes).value;
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, g);
   }
   // Identity (b = 0 path).
   auto one_bytes = gt_compress(Fp12::one());
-  auto one_back = gt_decompress(one_bytes);
+  auto one_back = gt_decode(one_bytes).value;
   ASSERT_TRUE(one_back.has_value());
   EXPECT_TRUE(one_back->is_one());
   // Non-unit-norm elements are rejected at compression time.
@@ -536,14 +536,96 @@ TEST(AuditWire, GtDecompressRejectsUnitNormNonSubgroupElements) {
     Fp12 u = f.conjugate() * f.inverse();
     ASSERT_FALSE(::dsaudit::pairing::gt_in_subgroup(u));
     auto bytes = gt_compress(u);  // unit-norm: compression accepts
-    EXPECT_FALSE(gt_decompress(bytes).has_value());
+    EXPECT_FALSE(gt_decode(bytes).value.has_value());
   }
   // -1 is unit-norm with order 2; r is odd, so it is not a pairing value.
   Fp12 minus_one{-ff::Fp6::one(), ff::Fp6::zero()};
-  EXPECT_FALSE(gt_decompress(gt_compress(minus_one)).has_value());
+  EXPECT_FALSE(gt_decode(gt_compress(minus_one)).value.has_value());
   // Sanity: genuine pairing outputs do pass the subgroup check.
   Fp12 g = ::dsaudit::pairing::pairing(curve::g1_random(rng), curve::g2_random(rng));
   EXPECT_TRUE(::dsaudit::pairing::gt_in_subgroup(g));
+}
+
+/// Decodes `bytes` and checks the two-way contract: a refusal is typed
+/// BadGtElement, an acceptance re-encodes to exactly the same bytes.
+/// Returns whether the bytes decoded.
+bool expect_canonical_gt(const std::array<std::uint8_t, 192>& bytes) {
+  const auto r = gt_decode(bytes);
+  if (!r) {
+    EXPECT_EQ(r.error, DecodeError::BadGtElement);
+    return false;
+  }
+  EXPECT_EQ(gt_compress(*r), bytes);
+  return true;
+}
+
+TEST(AuditWire, GtEncodingIsCanonical) {
+  auto rng = SecureRng::deterministic(412);
+  using Bytes = std::array<std::uint8_t, 192>;
+
+  // The identity: flag 0x80 over an all-zero body.
+  Bytes identity{};
+  identity[0] = 0x80;
+  EXPECT_EQ(gt_compress(Fp12::one()), identity);
+  ASSERT_TRUE(expect_canonical_gt(identity));
+  EXPECT_TRUE(gt_decode(identity)->is_one());
+
+  // c = 0 is -1: unit norm, order 2, refused by the subgroup check.
+  const Bytes zero{};
+  EXPECT_EQ(gt_compress(Fp12{-ff::Fp6::one(), ff::Fp6::zero()}), zero);
+  EXPECT_FALSE(expect_canonical_gt(zero));
+
+  // 64 random pairing outputs decode to themselves and re-encode exactly.
+  std::vector<Bytes> valid;
+  for (int i = 0; i < 64; ++i) {
+    Fp12 g = ::dsaudit::pairing::pairing(curve::g1_random(rng),
+                                         curve::g2_random(rng));
+    valid.push_back(gt_compress(g));
+    ASSERT_TRUE(expect_canonical_gt(valid.back()));
+    EXPECT_EQ(*gt_decode(valid.back()), g);
+  }
+
+  // The reserved bit 0x40, alone or next to the identity flag.
+  for (const Bytes& base : {valid[0], identity}) {
+    Bytes b = base;
+    b[0] |= 0x40;
+    EXPECT_FALSE(expect_canonical_gt(b));
+  }
+
+  // The identity flag over a non-zero body: a genuine element's c, a stray
+  // low bit in byte 0, a stray last byte.
+  {
+    Bytes b = valid[1];
+    b[0] |= 0x80;
+    EXPECT_FALSE(expect_canonical_gt(b));
+    b = identity;
+    b[0] |= 0x01;
+    EXPECT_FALSE(expect_canonical_gt(b));
+    b = identity;
+    b[191] = 1;
+    EXPECT_FALSE(expect_canonical_gt(b));
+  }
+
+  // Each coordinate in turn set to p itself (p ≡ 0 would alias 0).
+  for (std::size_t j = 0; j < 6; ++j) {
+    Bytes b = valid[2];
+    ff::Fp::modulus().to_be_bytes(
+        std::span<std::uint8_t, 32>(b.data() + 32 * j, 32));
+    EXPECT_FALSE(expect_canonical_gt(b));
+  }
+
+  // f^(p^6 - 1): unit norm, outside the order-r subgroup.
+  Fp12 f = Fp12::random(rng);
+  EXPECT_FALSE(expect_canonical_gt(gt_compress(f.conjugate() * f.inverse())));
+
+  // Random strings, half with the flag bits cleared so they reach the
+  // coordinate and subgroup checks.
+  for (int i = 0; i < 64; ++i) {
+    Bytes b;
+    rng.fill(b);
+    if (i % 2 == 0) b[0] &= 0x3F;
+    expect_canonical_gt(b);
+  }
 }
 
 TEST(AuditWire, GtOrderCheckRejectsCyclotomicNonSubgroupElements) {
@@ -620,11 +702,40 @@ TEST(AuditWire, PublicKeyRoundTripAndFig4Sizes) {
       EXPECT_EQ(back->epsilon, kp.pk.epsilon);
       EXPECT_EQ(back->delta, kp.pk.delta);
       ASSERT_EQ(back->g1_alpha_powers.size(), kp.pk.g1_alpha_powers.size());
-      if (priv) {
-        EXPECT_EQ(back->e_g1_epsilon, kp.pk.e_g1_epsilon);
-      }
+      // With or without it on the wire, the decoded key carries e(g1, eps).
+      EXPECT_EQ(back->e_g1_epsilon, kp.pk.e_g1_epsilon);
     }
   }
+}
+
+TEST(AuditWire, PublicKeyPrivacyComponentMustMatchEpsilon) {
+  // A key whose shipped e(g1, eps) is any other GT element would make every
+  // honest private proof under it fail Eq. 2, so decode refuses it.
+  auto rng = SecureRng::deterministic(413);
+  Scenario sc = make_scenario(1500, 8, rng);
+  auto pk_bytes = serialize(sc.kp.pk, true);
+  auto with_gt = [&](const Fp12& g) {
+    auto b = pk_bytes;
+    auto gt = gt_compress(g);
+    std::copy(gt.begin(), gt.end(), b.end() - 192);
+    return b;
+  };
+  const Fp12& base = sc.kp.pk.e_g1_epsilon;
+  EXPECT_EQ(decode_public_key(with_gt(base.square())).error,
+            DecodeError::BadGtElement);
+  EXPECT_EQ(decode_public_key(with_gt(keygen(8, rng).pk.e_g1_epsilon)).error,
+            DecodeError::BadGtElement);
+  EXPECT_EQ(decode_public_key(with_gt(Fp12::one())).error,
+            DecodeError::BadGtElement);
+
+  // The genuine key decodes, and an honest private proof under the decoded
+  // key verifies.
+  auto back = decode_public_key(pk_bytes);
+  ASSERT_TRUE(back.ok());
+  Prover prover(*back, sc.file, sc.tag);
+  Challenge chal = make_challenge(rng, 4);
+  EXPECT_TRUE(verify_private(*back, sc.name, sc.file.num_chunks(), chal,
+                             prover.prove_private(chal, rng)));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Field-arithmetic tests: Montgomery Fp/Fr, the Fp2/Fp6/Fp12 tower,
-// Frobenius maps and the extension-field square roots (pinned against a
-// Tonelli–Shanks oracle).
+// Frobenius maps and the Fp2 square root (pinned against a Tonelli–Shanks
+// oracle).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -307,6 +307,15 @@ TEST(Fp6Tower, VCubedIsXi) {
   EXPECT_EQ(v3, Fp6(xi(), Fp2::zero(), Fp2::zero()));
 }
 
+// The T2 GT decode divides by c^2 - v, which is never zero only because v
+// is a non-square in Fp6 (Euler's criterion: v^((p^6-1)/2) = -1).
+TEST(Fp6Tower, VIsANonSquare) {
+  const Fp6 v{Fp2::zero(), Fp2::one(), Fp2::zero()};
+  const VarUInt p{Fp::modulus()};
+  const VarUInt half_order = (VarUInt::pow(p, 6) - VarUInt{1}).shr(1);
+  EXPECT_EQ(pow_var(v, half_order), -Fp6::one());
+}
+
 TEST(Fp6Tower, MulByVMatchesMul) {
   auto rng = SecureRng::deterministic(31);
   Fp6 v{Fp2::zero(), Fp2::one(), Fp2::zero()};
@@ -348,7 +357,7 @@ TEST(Fp12Tower, PowHomomorphism) {
 }
 
 // ---------------------------------------------------------------------------
-// Square roots in extensions.
+// Square roots in Fp2.
 // ---------------------------------------------------------------------------
 
 TEST(Sqrt, Fp2RoundTrip) {
@@ -367,22 +376,9 @@ TEST(Sqrt, Fp2RoundTrip) {
   EXPECT_LT(residues, 10);
 }
 
-TEST(Sqrt, Fp6RoundTrip) {
-  auto rng = SecureRng::deterministic(36);
-  for (int i = 0; i < 4; ++i) {
-    Fp6 a = Fp6::random(rng);
-    Fp6 sq = a.square();
-    auto root = sqrt(sq);
-    ASSERT_TRUE(root.has_value());
-    EXPECT_TRUE(*root == a || *root == -a);
-  }
-  EXPECT_EQ(sqrt(Fp6::zero()).value(), Fp6::zero());
-}
-
 /// The fast root and the Tonelli–Shanks oracle agree on existence, and on
 /// the root up to sign. Returns whether a root exists.
-template <typename F>
-bool expect_matches_oracle(const F& a) {
+bool expect_matches_oracle(const Fp2& a) {
   auto fast = sqrt(a);
   auto ref = oracle::ts_sqrt(a);
   EXPECT_EQ(fast.has_value(), ref.has_value());
@@ -406,27 +402,6 @@ TEST(Sqrt, Fp2MatchesTonelliShanks) {
   }
   int residues = 0;
   for (const Fp2& a : inputs) residues += expect_matches_oracle(a);
-  EXPECT_GT(residues, 0);
-  EXPECT_LT(residues, static_cast<int>(inputs.size()));
-}
-
-TEST(Sqrt, Fp6MatchesTonelliShanks) {
-  auto rng = SecureRng::deterministic(39);
-  const Fp2 u{Fp::zero(), Fp::one()};
-  auto embed = [](const Fp2& a) { return Fp6{a, Fp2::zero(), Fp2::zero()}; };
-  const Fp6 v{Fp2::zero(), Fp2::one(), Fp2::zero()};
-  std::vector<Fp6> inputs = {Fp6::zero(), Fp6::one(), -Fp6::one(), embed(u),
-                             embed(xi()), v, v.square(), -v};
-  for (int i = 0; i < 10; ++i) {
-    Fp6 a = Fp6::random(rng);
-    inputs.push_back(a);
-    inputs.push_back(a.square());
-    Fp2 b = Fp2::random(rng);
-    inputs.push_back(embed({Fp::zero(), b.c1}));  // pure imaginary in Fp2
-    inputs.push_back(embed({b.c0.legendre() < 0 ? b.c0 : -b.c0, Fp::zero()}));
-  }
-  int residues = 0;
-  for (const Fp6& a : inputs) residues += expect_matches_oracle(a);
   EXPECT_GT(residues, 0);
   EXPECT_LT(residues, static_cast<int>(inputs.size()));
 }

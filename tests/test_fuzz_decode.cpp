@@ -231,7 +231,7 @@ TEST_F(FuzzDecode, RejectionReasonsAreTyped) {
   }
   {
     auto b = valid_private_;
-    b[96] |= 0xC0;  // contradictory GT flag bits
+    b[96] |= 0xC0;  // identity flag plus the reserved GT flag bit
     EXPECT_EQ(decode_private(b).error, DecodeError::BadGtElement);
   }
   {

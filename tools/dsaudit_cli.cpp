@@ -22,7 +22,6 @@
 
 #include "audit/protocol.hpp"
 #include "audit/serialize.hpp"
-#include "pairing/pairing.hpp"
 
 using namespace dsaudit;
 
@@ -38,7 +37,10 @@ namespace {
                "  prove     --pk FILE --file FILE --tag FILE --challenge FILE "
                "--proof FILE [--basic]\n"
                "  verify    --pk FILE --tag FILE --challenge FILE --proof FILE "
-               "[--basic]\n");
+               "[--basic]\n"
+               "GT elements (a private proof's R, a key's e(g1, eps)) use the\n"
+               "T2 torus encoding; keys and private proofs written by versions\n"
+               "before it do not decode.\n");
   std::exit(2);
 }
 
@@ -97,12 +99,7 @@ audit::PublicKey load_pk(const std::string& path) {
                  path.c_str(), audit::to_string(decoded.error));
     std::exit(1);
   }
-  audit::PublicKey pk = *decoded;
-  if (pk.e_g1_epsilon.is_zero()) {
-    // Key was stored without the privacy extras; recompute the GT base.
-    pk.e_g1_epsilon = dsaudit::pairing::pairing(curve::G1::generator(), pk.epsilon);
-  }
-  return pk;
+  return *decoded;
 }
 
 audit::FileTag load_tag(const std::string& path) {
