@@ -92,29 +92,6 @@ std::string U256::to_dec() const {
   return s;
 }
 
-unsigned U256::bit_length() const {
-  for (int i = 3; i >= 0; --i) {
-    if (limb[i] != 0) {
-      return static_cast<unsigned>(64 * i + 64 - __builtin_clzll(limb[i]));
-    }
-  }
-  return 0;
-}
-
-U512 mul_wide(const U256& a, const U256& b) {
-  U512 r;
-  for (int i = 0; i < 4; ++i) {
-    u128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      u128 v = static_cast<u128>(a.limb[i]) * b.limb[j] + r.limb[i + j] + carry;
-      r.limb[i + j] = static_cast<u64>(v);
-      carry = v >> 64;
-    }
-    r.limb[i + 4] = static_cast<u64>(carry);
-  }
-  return r;
-}
-
 U256 mul_lo(const U256& a, const U256& b) {
   U256 r;
   for (int i = 0; i < 4; ++i) {
@@ -139,42 +116,6 @@ U256 mul_high_rounded(const U256& a, const U256& b) {
     carry = v >> 64;
   }
   return hi;
-}
-
-U256 mod(const U512& a, const U256& m) {
-  if (m.is_zero()) throw std::domain_error("mod: division by zero");
-  // Binary long division over 512 bits: process from the most significant bit
-  // down, maintaining remainder < m. Init-time only, so clarity over speed.
-  U256 rem;
-  for (int bit = 511; bit >= 0; --bit) {
-    // rem = rem*2 + bit; top bit of rem is always 0 before the shift because
-    // rem < m < 2^256, but guard anyway via carry-aware compare.
-    u64 top = rem.limb[3] >> 63;
-    rem = shl1(rem);
-    if ((a.limb[bit / 64] >> (bit % 64)) & 1) rem.limb[0] |= 1;
-    if (top || !lt(rem, m)) {
-      U256 t;
-      sub_with_borrow(rem, m, t);
-      rem = t;
-    }
-  }
-  return rem;
-}
-
-U256 mul_mod_slow(const U256& a, const U256& b, const U256& m) {
-  return mod(mul_wide(a, b), m);
-}
-
-U256 pow_mod_slow(const U256& a, const U256& e, const U256& m) {
-  U256 base = mod(U512{{a.limb[0], a.limb[1], a.limb[2], a.limb[3], 0, 0, 0, 0}}, m);
-  U256 result{1};
-  result = mod(U512{{1, 0, 0, 0, 0, 0, 0, 0}}, m);  // handles m == 1
-  unsigned nbits = e.bit_length();
-  for (unsigned i = 0; i < nbits; ++i) {
-    if (e.bit(i)) result = mul_mod_slow(result, base, m);
-    base = mul_mod_slow(base, base, m);
-  }
-  return result;
 }
 
 U256 inv_mod(const U256& a, const U256& m) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -48,7 +49,7 @@ struct U256 {
 
   constexpr bool is_zero() const { return (limb[0] | limb[1] | limb[2] | limb[3]) == 0; }
   constexpr bool is_odd() const { return limb[0] & 1; }
-  bool bit(unsigned i) const { return (limb[i / 64] >> (i % 64)) & 1; }
+  constexpr bool bit(unsigned i) const { return (limb[i / 64] >> (i % 64)) & 1; }
 
   /// Bits [bit_offset, bit_offset + width) as an integer, width <= 64. Bits
   /// at or past 256 read as zero, so callers can scan fixed-width windows off
@@ -66,7 +67,14 @@ struct U256 {
   }
 
   /// Number of significant bits (0 for zero).
-  unsigned bit_length() const;
+  constexpr unsigned bit_length() const {
+    for (int i = 3; i >= 0; --i) {
+      if (limb[i] != 0) {
+        return static_cast<unsigned>(64 * i + std::bit_width(limb[i]));
+      }
+    }
+    return 0;
+  }
 
   friend bool operator==(const U256& a, const U256& b) = default;
 };
@@ -135,7 +143,7 @@ constexpr U256 sub_mod(const U256& a, const U256& b, const U256& m) {
   return diff;
 }
 
-inline U256 shl1(const U256& a) {  // a << 1 (mod 2^256)
+constexpr U256 shl1(const U256& a) {  // a << 1 (mod 2^256)
   U256 r;
   u64 carry = 0;
   for (int i = 0; i < 4; ++i) {
@@ -159,19 +167,31 @@ constexpr U256 shr1(const U256& a) {  // a >> 1
 struct U512 {
   std::array<u64, 8> limb{};
 
-  bool is_zero() const {
+  constexpr bool is_zero() const {
     u64 acc = 0;
     for (u64 l : limb) acc |= l;
     return acc == 0;
   }
-  U256 lo() const { return U256{limb[0], limb[1], limb[2], limb[3]}; }
-  U256 hi() const { return U256{limb[4], limb[5], limb[6], limb[7]}; }
+  constexpr U256 lo() const { return U256{limb[0], limb[1], limb[2], limb[3]}; }
+  constexpr U256 hi() const { return U256{limb[4], limb[5], limb[6], limb[7]}; }
 
   friend bool operator==(const U512& a, const U512& b) = default;
 };
 
 /// Full 256x256 -> 512 bit product.
-U512 mul_wide(const U256& a, const U256& b);
+constexpr U512 mul_wide(const U256& a, const U256& b) {
+  U512 r;
+  for (int i = 0; i < 4; ++i) {
+    u128 carry = 0;
+    for (int j = 0; j < 4; ++j) {
+      u128 v = static_cast<u128>(a.limb[i]) * b.limb[j] + r.limb[i + j] + carry;
+      r.limb[i + j] = static_cast<u64>(v);
+      carry = v >> 64;
+    }
+    r.limb[i + 4] = static_cast<u64>(carry);
+  }
+  return r;
+}
 
 /// Low 256 bits of a * b (the product modulo 2^256) — the lattice-vector
 /// accumulation step of the GLV decomposition, where the small results are
@@ -204,16 +224,6 @@ inline U256 abs2c(const U256& a, bool& negative) {
   negative = sign_bit(a);
   return negative ? neg2c(a) : a;
 }
-
-/// a mod m via binary long division. Slow (bit-by-bit); intended for
-/// init-time constant derivation only — hot paths use Montgomery reduction.
-U256 mod(const U512& a, const U256& m);
-
-/// (a * b) mod m, via mul_wide + mod. Init-time use only.
-U256 mul_mod_slow(const U256& a, const U256& b, const U256& m);
-
-/// a^e mod m by square-and-multiply using the slow modmul. Init-time only.
-U256 pow_mod_slow(const U256& a, const U256& e, const U256& m);
 
 /// Modular inverse of a mod m (m odd, gcd(a,m)=1) via the extended binary
 /// Euclidean algorithm. Throws std::domain_error if not invertible.

@@ -120,17 +120,9 @@ std::optional<BatchSettlement::Outcome> BatchSettlement::try_outcome(
     flush(lock);
   }
   wait_for_flush_locked(lock, ticket.batch);
-  auto it = results_.find(ticket.batch);
-  if (it == results_.end()) {
-    if (ticket.batch >= current_batch_) return std::nullopt;  // window open
-    throw std::logic_error("BatchSettlement: unknown ticket");
-  }
-  if (ticket.index >= it->second.ok.size()) {
-    throw std::logic_error("BatchSettlement: unknown ticket");
-  }
-  return Outcome{it->second.ok[ticket.index], it->second.ok.size(),
-                 it->second.flush_ms, it->second.aggregated,
-                 it->second.fallback};
+  if (auto settled = settled_outcome_locked(ticket)) return settled;
+  if (ticket.batch >= current_batch_) return std::nullopt;  // window open
+  throw std::logic_error("BatchSettlement: unknown ticket");
 }
 
 BatchSettlement::Outcome BatchSettlement::outcome(const Ticket& ticket) {
@@ -139,8 +131,15 @@ BatchSettlement::Outcome BatchSettlement::outcome(const Ticket& ticket) {
     flush(lock);
   }
   wait_for_flush_locked(lock, ticket.batch);
+  if (auto settled = settled_outcome_locked(ticket)) return *settled;
+  throw std::logic_error("BatchSettlement: unknown ticket");
+}
+
+std::optional<BatchSettlement::Outcome> BatchSettlement::settled_outcome_locked(
+    const Ticket& ticket) const {
   auto it = results_.find(ticket.batch);
-  if (it == results_.end() || ticket.index >= it->second.ok.size()) {
+  if (it == results_.end()) return std::nullopt;
+  if (ticket.index >= it->second.ok.size()) {
     throw std::logic_error("BatchSettlement: unknown ticket");
   }
   return Outcome{it->second.ok[ticket.index], it->second.ok.size(),

@@ -177,6 +177,9 @@ class BatchSettlement {
   /// must wait for the result store, not mis-read it as unknown).
   void wait_for_flush_locked(std::unique_lock<std::mutex>& lock,
                              std::uint64_t batch);
+  /// The ticket's result if its batch has settled, nullopt if not; throws
+  /// std::logic_error for an index past a settled batch. Mutex held.
+  std::optional<Outcome> settled_outcome_locked(const Ticket& ticket) const;
 
   mutable std::mutex mutex_;
   std::condition_variable flush_cv_;

@@ -1,21 +1,8 @@
 #include "curve/g1.hpp"
 
-#include "curve/glv.hpp"
 #include "primitives/keccak256.hpp"
 
 namespace dsaudit::curve {
-
-const Fp& G1Tag::curve_b() {
-  static const Fp b = Fp::from_u64(3);
-  return b;
-}
-
-const G1& G1Tag::generator() {
-  static const G1 g{Fp::from_u64(1), Fp::from_u64(2)};
-  return g;
-}
-
-const Fp& G1Tag::endo_beta() { return glv_params().beta; }
 
 const FixedBaseTable<G1>& g1_generator_table() {
   static const FixedBaseTable<G1> table(G1::generator());

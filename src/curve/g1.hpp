@@ -11,6 +11,7 @@
 #include <string_view>
 
 #include "curve/fixed_base.hpp"
+#include "curve/glv.hpp"
 #include "curve/point.hpp"
 #include "field/fp.hpp"
 
@@ -19,7 +20,8 @@ namespace dsaudit::curve {
 using ff::Fp;
 
 struct G1Tag {
-  static const Fp& curve_b();
+  static constexpr Fp kCurveB = Fp::from_u64(3);
+  static constexpr const Fp& curve_b() { return kCurveB; }
   static const Point<Fp, G1Tag>& generator();
   /// GLV endomorphism constant: phi(x, y) = (endo_beta() * x, y) acts as
   /// multiplication by lambda on G1 (cofactor 1, so on every curve point).
@@ -27,10 +29,13 @@ struct G1Tag {
   /// msm_precomputed — into endomorphism-split mode for this group; G2's tag
   /// deliberately omits it (the twist's cofactor points break the eigenvalue
   /// relation, and g2_in_subgroup needs integer-multiple semantics).
-  static const Fp& endo_beta();
+  static constexpr const Fp& endo_beta() { return kGlv.beta; }
 };
 
 using G1 = Point<Fp, G1Tag>;
+
+inline constexpr G1 kG1Generator{Fp::from_u64(1), Fp::from_u64(2)};
+inline const G1& G1Tag::generator() { return kG1Generator; }
 
 /// Process-wide fixed-base window table for the G1 generator (built lazily,
 /// thread-safe). Use g1_mul_generator for k * g1 on any hot path.

@@ -9,21 +9,6 @@ namespace dsaudit::curve {
 
 namespace {
 
-// EIP-197 / py_ecc generator for the order-r subgroup of the twist.
-const char* kG2GenX0 =
-    "10857046999023057135944570762232829481370756359578518086990519993285655852781";
-const char* kG2GenX1 =
-    "11559732032986387107991004021392285783925812861821192530917403151452391805634";
-const char* kG2GenY0 =
-    "8495653923123431417604973247489272438418190587263600148770280649306958101930";
-const char* kG2GenY1 =
-    "4082367875863433681332203403145435568316851327593401208105741076214120093531";
-
-Fp2 fp2_from_dec(const char* c0, const char* c1) {
-  return Fp2{ff::Fp::from_u256(ff::U256::from_dec(c0)),
-             ff::Fp::from_u256(ff::U256::from_dec(c1))};
-}
-
 /// Lexicographic comparison of the canonical byte encoding, used to pin down
 /// which of the two square roots a compressed point refers to.
 bool lex_greater(const Fp2& a, const Fp2& b) {
@@ -33,18 +18,6 @@ bool lex_greater(const Fp2& a, const Fp2& b) {
 }
 
 }  // namespace
-
-const Fp2& G2Tag::curve_b() {
-  // b' = 3 / xi  (D-type twist).
-  static const Fp2 b = ff::xi().inverse().mul_fp(ff::Fp::from_u64(3));
-  return b;
-}
-
-const G2& G2Tag::generator() {
-  static const G2 g{fp2_from_dec(kG2GenX0, kG2GenX1),
-                    fp2_from_dec(kG2GenY0, kG2GenY1)};
-  return g;
-}
 
 const FixedBaseTable<G2>& g2_generator_table() {
   static const FixedBaseTable<G2> table(G2::generator());
@@ -73,23 +46,17 @@ bool g2_in_subgroup(const G2& p) {
   return g2_frobenius(p) == p.mul(ff::kSixTSq);
 }
 
-bool g2_in_subgroup_naive(const G2& p) {
-  if (!p.is_on_curve()) return false;
-  return p.mul(Fr::modulus()).is_infinity();
-}
-
 G2 g2_frobenius(const G2& p) {
   if (p.is_infinity()) return p;
-  const auto& tc = ff::tower_consts();
   auto [x, y] = p.to_affine();
-  return G2{x.conjugate() * tc.twist_frob_x, y.conjugate() * tc.twist_frob_y};
+  return G2{x.conjugate() * ff::kTower.gamma[2],
+            y.conjugate() * ff::kTower.gamma[3]};
 }
 
 G2 g2_frobenius2(const G2& p) {
   if (p.is_infinity()) return p;
-  const auto& tc = ff::tower_consts();
   auto [x, y] = p.to_affine();
-  return G2{x * tc.twist_frob2_x, y * tc.twist_frob2_y};
+  return G2{x * ff::kTower.gamma_p2[2], y * ff::kTower.gamma_p2[3]};
 }
 
 std::array<std::uint8_t, 64> g2_compress(const G2& p) {

@@ -15,11 +15,28 @@ namespace dsaudit::curve {
 using ff::Fp2;
 
 struct G2Tag {
-  static const Fp2& curve_b();
+  /// b' = 3/xi (D-type twist) = 3 conj(xi) / |xi|^2 = 3(9 - u)/82.
+  static constexpr Fp2 kCurveB = ff::xi().conjugate().mul_fp(
+      ff::Fp::from_u64(3) * ff::Fp::from_u64(82).inverse_fermat());
+  static constexpr const Fp2& curve_b() { return kCurveB; }
   static const Point<Fp2, G2Tag>& generator();
 };
+static_assert(G2Tag::kCurveB * ff::xi() == Fp2::from_u64(3, 0), "b' * xi != 3");
 
 using G2 = Point<Fp2, G2Tag>;
+
+/// The EIP-197 generator of the order-r subgroup of the twist.
+inline constexpr G2 kG2Generator{
+    Fp2{ff::Fp::from_u256({0x46debd5cd992f6ed, 0x674322d4f75edadd,
+                           0x426a00665e5c4479, 0x1800deef121f1e76}),
+        ff::Fp::from_u256({0x97e485b7aef312c2, 0xf1aa493335a9e712,
+                           0x7260bfb731fb5d25, 0x198e9393920d483a})},
+    Fp2{ff::Fp::from_u256({0x4ce6cc0166fa7daa, 0xe3d1e7690c43d37b,
+                           0x4aab71808dcb408f, 0x12c85ea5db8c6deb}),
+        ff::Fp::from_u256({0x55acdadcd122975b, 0xbc4b313370b38ef3,
+                           0xec9e99ad690c3395, 0x090689d0585ff075})}};
+static_assert(kG2Generator.is_on_curve(), "G2 generator not on the twist");
+inline const G2& G2Tag::generator() { return kG2Generator; }
 
 /// Process-wide fixed-base window table for the G2 generator (built lazily,
 /// thread-safe). Use g2_mul_generator for k * g2 on any hot path.
@@ -34,10 +51,6 @@ G2 g2_random(primitives::SecureRng& rng);
 /// for the soundness argument. Contract deserialization pays this on every
 /// public key.
 bool g2_in_subgroup(const G2& p);
-
-/// The retained differential oracle: the full order-r ladder
-/// [r] Q == infinity.
-bool g2_in_subgroup_naive(const G2& p);
 
 /// The untwist-Frobenius-twist endomorphism psi(x, y) = (gamma2 * conj(x),
 /// gamma3 * conj(y)), needed for the optimal-ate final line additions.

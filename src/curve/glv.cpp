@@ -1,138 +1,88 @@
-// Runtime derivation and self-check of the GLV constants (see glv.hpp for
-// the math). Everything is rebuilt from ff::kBnParamT at first use; the
-// derivation cross-checks itself and throws std::logic_error on any
-// mismatch, so a wrong constant can never silently mis-multiply.
+// GLV scalar decomposition, and the compile-time checks of the constants in
+// glv.hpp (evaluated here once rather than in every includer).
 #include "curve/glv.hpp"
 
 #include <stdexcept>
-
-#include "curve/g1.hpp"
 
 namespace dsaudit::curve {
 
 namespace {
 
 using bigint::U256;
+using bigint::U512;
 using bigint::u128;
 using bigint::u64;
 
-/// floor(a / d) for a small divisor (used for (p - 1) / 3).
-U256 div_u64(const U256& a, u64 d) {
-  U256 q;
-  u128 rem = 0;
-  for (int i = 3; i >= 0; --i) {
-    u128 cur = (rem << 64) | a.limb[i];
-    q.limb[i] = static_cast<u64>(cur / d);
-    rem = cur % d;
-  }
-  return q;
-}
+constexpr const U256& kR = ff::Fr::modulus();
 
-/// floor(num * 2^256 / den) by binary long division over the shifted 512-bit
-/// value. Init-time only; the quotients here are < 2^130.
-U256 div_pow256(const U256& num, const U256& den) {
-  U256 rem, quo;
-  for (int bit = 511; bit >= 0; --bit) {
-    u64 top = rem.limb[3] >> 63;
-    rem = bigint::shl1(rem);
-    if (bit >= 256 && num.bit(static_cast<unsigned>(bit - 256))) {
-      rem.limb[0] |= 1;
-    }
-    quo = bigint::shl1(quo);
-    if (top || !bigint::lt(rem, den)) {
-      U256 t;
-      bigint::sub_with_borrow(rem, den, t);
-      rem = t;
-      quo.limb[0] |= 1;
-    }
-  }
-  return quo;
-}
-
-GlvParams derive() {
-  const U256 r = ff::Fr::modulus();
-  const U256 t{ff::kBnParamT};
-  const U256 t2 = bigint::mul_lo(t, t);        // < 2^126: exact
-  const U256 t3 = bigint::mul_lo(t2, t);       // < 2^189: exact
-  auto small_mul = [](const U256& a, u64 m) { return bigint::mul_lo(a, U256{m}); };
-  auto sum = [](std::initializer_list<U256> vs) {
-    U256 acc;
-    for (const U256& v : vs) bigint::add_with_carry(acc, v, acc);
-    return acc;
-  };
-
-  GlvParams gp;
-  // lambda = 36 t^3 + 18 t^2 + 6 t + 1 — the eigenvalue of phi on G1.
-  gp.lambda = sum({small_mul(t3, 36), small_mul(t2, 18), small_mul(t, 6), U256::one()});
-  // Short lattice basis: v1 = (a1, b1), v2 = (-b1, b2).
-  gp.a1 = sum({small_mul(t2, 6), small_mul(t, 4), U256::one()});
-  gp.b1 = sum({small_mul(t, 2), U256::one()});
-  gp.b2 = sum({small_mul(t2, 6), small_mul(t, 2)});
-  // 2^256-scaled reciprocals for the Babai rounding step.
-  gp.g1 = div_pow256(gp.b2, r);
-  gp.g2 = div_pow256(gp.b1, r);
-
-  // --- self-checks: the algebra that makes the decomposition sound ---
-  if (!bigint::lt(gp.lambda, r)) throw std::logic_error("glv: lambda >= r");
-  // lambda^2 + lambda + 1 = 0 (mod r): lambda is a primitive cube root.
-  U256 l2 = bigint::mul_mod_slow(gp.lambda, gp.lambda, r);
-  U256 acc = bigint::add_mod(l2, gp.lambda, r);
-  acc = bigint::add_mod(acc, U256::one(), r);
-  if (!acc.is_zero()) throw std::logic_error("glv: lambda is not a cube root");
-  // Lattice membership: a1 + b1*lambda = 0 and b2*lambda - b1 = 0 (mod r).
-  U256 v1 = bigint::add_mod(gp.a1, bigint::mul_mod_slow(gp.b1, gp.lambda, r), r);
-  if (!v1.is_zero()) throw std::logic_error("glv: v1 not in lattice");
-  U256 v2 = bigint::sub_mod(bigint::mul_mod_slow(gp.b2, gp.lambda, r), gp.b1, r);
-  if (!v2.is_zero()) throw std::logic_error("glv: v2 not in lattice");
-  // det(v1, v2) = a1*b2 + b1^2 must equal r exactly (full 512-bit compare).
-  bigint::U512 det = bigint::mul_wide(gp.a1, gp.b2);
-  bigint::U512 b1sq = bigint::mul_wide(gp.b1, gp.b1);
-  u64 carry = 0;
+constexpr U512 add_wide(const U512& a, const U512& b) {
+  U512 out;
+  u128 carry = 0;
   for (int i = 0; i < 8; ++i) {
-    u128 v = static_cast<u128>(det.limb[i]) + b1sq.limb[i] + carry;
-    det.limb[i] = static_cast<u64>(v);
-    carry = static_cast<u64>(v >> 64);
+    const u128 v = u128{a.limb[i]} + b.limb[i] + carry;
+    out.limb[i] = static_cast<u64>(v);
+    carry = v >> 64;
   }
-  if (carry != 0 || !det.hi().is_zero() || !(det.lo() == r)) {
-    throw std::logic_error("glv: det(v1, v2) != r");
-  }
-
-  // beta: a primitive cube root of unity in Fp, oriented so that
-  // (beta * x_G, y_G) == [lambda] G on the G1 generator (the other root
-  // pairs with lambda^2). The eigenvalue check below uses mul_naive — the
-  // fast mul depends on these very constants.
-  const U256 exp = div_u64(bigint::sub_mod(ff::Fp::modulus(), U256::one(),
-                                           ff::Fp::modulus()),
-                           3);
-  ff::Fp beta = ff::Fp::one();
-  for (u64 g = 2; beta == ff::Fp::one(); ++g) {
-    beta = ff::Fp::from_u64(g).pow_u256(exp);
-  }
-  const G1& gen = G1::generator();
-  const G1 lam_g = gen.mul_naive(gp.lambda);
-  auto phi_matches = [&](const ff::Fp& b) {
-    auto [x, y] = gen.to_affine();
-    return G1{x * b, y} == lam_g;
-  };
-  if (phi_matches(beta)) {
-    gp.beta = beta;
-  } else if (phi_matches(beta.square())) {
-    gp.beta = beta.square();
-  } else {
-    throw std::logic_error("glv: no cube root matches the lambda eigenvalue");
-  }
-  return gp;
+  return out;
 }
+
+constexpr U512 widen(const U256& a) { return bigint::mul_wide(a, U256{1}); }
+
+constexpr bool less_wide(const U512& a, const U512& b) {
+  for (int i = 7; i >= 0; --i) {
+    if (a.limb[i] != b.limb[i]) return a.limb[i] < b.limb[i];
+  }
+  return false;
+}
+
+/// x mod r by binary long division.
+constexpr U256 mod_r(const U512& x) {
+  U256 rem;
+  for (int bit = 511; bit >= 0; --bit) {
+    rem = bigint::shl1(rem);  // rem < r < 2^255: no bit is lost
+    rem.limb[0] |= (x.limb[bit / 64] >> (bit % 64)) & 1;
+    if (!bigint::lt(rem, kR)) bigint::sub_with_borrow(rem, kR, rem);
+  }
+  return rem;
+}
+
+/// q == floor(b * 2^256 / r), i.e. q*r <= b*2^256 < q*r + r.
+constexpr bool is_scaled_reciprocal(const U256& q, const U256& b) {
+  const U512 qr = bigint::mul_wide(q, kR);
+  U512 b_shifted;
+  for (int i = 0; i < 4; ++i) b_shifted.limb[4 + i] = b.limb[i];
+  return !less_wide(b_shifted, qr) && less_wide(b_shifted, add_wide(qr, widen(kR)));
+}
+
+static_assert(bigint::lt(kGlv.lambda, kR), "lambda >= r");
+// lambda^2 + lambda + 1 = (36t^2 + 3) r exactly, so lambda is a primitive
+// cube root of unity mod r.
+static_assert(add_wide(add_wide(bigint::mul_wide(kGlv.lambda, kGlv.lambda),
+                                widen(kGlv.lambda)),
+                       widen(U256{1})) ==
+                  bigint::mul_wide(ff::detail::horner({36, 0, 3}, ff::kBnParamT), kR),
+              "lambda^2 + lambda + 1 != (36t^2 + 3) r");
+// Both basis vectors lie in the lattice: a1 + b1*lambda = 0 and
+// b2*lambda - b1 = 0 (mod r).
+static_assert(mod_r(add_wide(bigint::mul_wide(kGlv.b1, kGlv.lambda), widen(kGlv.a1)))
+                  .is_zero(),
+              "v1 not in the GLV lattice");
+static_assert(mod_r(bigint::mul_wide(kGlv.b2, kGlv.lambda)) == kGlv.b1,
+              "v2 not in the GLV lattice");
+static_assert(add_wide(bigint::mul_wide(kGlv.a1, kGlv.b2),
+                       bigint::mul_wide(kGlv.b1, kGlv.b1)) == widen(kR),
+              "det(v1, v2) = a1*b2 + b1^2 != r");
+static_assert(is_scaled_reciprocal(kGlv.g1, kGlv.b2) &&
+                  is_scaled_reciprocal(kGlv.g2, kGlv.b1),
+              "g_i != floor(2^256 * b_i / r)");
+static_assert(kGlv.beta * kGlv.beta * kGlv.beta == ff::Fp::one() &&
+                  kGlv.beta != ff::Fp::one(),
+              "beta is not a primitive cube root of unity");
 
 }  // namespace
 
-const GlvParams& glv_params() {
-  static const GlvParams gp = derive();
-  return gp;
-}
-
 GlvDecomposed glv_decompose(const U256& k) {
-  const GlvParams& gp = glv_params();
+  const GlvParams& gp = kGlv;
   // Babai rounding: m1 = round(k * b2 / r), m2 = round(k * b1 / r) — the
   // magnitudes of the rational coordinates c1 = k*b2/r, c2 = -k*b1/r.
   const U256 m1 = bigint::mul_high_rounded(k, gp.g1);

@@ -13,8 +13,7 @@
 // 254-bit ladder (Gallant-Lambert-Vanstone, CRYPTO 2001).
 //
 // The split is Babai rounding against an explicit short basis of the lattice
-// L = {(x, y) : x + y*lambda = 0 (mod r)}, derived from the same
-// t-parameterization (see params_check for the re-derivation):
+// L = {(x, y) : x + y*lambda = 0 (mod r)}, from the same t-parameterization:
 //
 //   v1 = (6 t^2 + 4 t + 1,  2 t + 1)
 //   v2 = (-(2 t + 1),       6 t^2 + 2 t)         det(v1, v2) = r exactly
@@ -26,9 +25,10 @@
 // (k1, k2) = (k, 0) - m1 v1 - m2 v2 with both coordinates < 2^127 in
 // magnitude — strictly, 3/4 * (6t^2 + 6t + 2) < 2^127.
 //
-// This header depends only on the field layer; the runtime constants
-// (including the beta root matched against the G1 generator) are derived
-// once in glv.cpp and self-checked at init.
+// Every constant below is computed at compile time from ff::kBnParamT and
+// the moduli, and the static_asserts after kGlv check the algebra that makes
+// the decomposition sound. beta's orientation (phi(G) = [lambda] G rather
+// than [lambda^2] G) needs curve arithmetic and is pinned by a test.
 #pragma once
 
 #include "bigint/u256.hpp"
@@ -40,9 +40,6 @@ namespace dsaudit::curve {
 /// decomposition throws std::logic_error if a half ever exceeds it.
 inline constexpr unsigned kGlvHalfBits = 127;
 
-/// Runtime GLV constants, derived from ff::kBnParamT and self-verified
-/// (lambda root relation, lattice membership, determinant, beta/generator
-/// eigenvalue match) — any mismatch throws at first use.
 struct GlvParams {
   ff::Fp beta;        // phi(x, y) = (beta * x, y) acts as [lambda] on G1
   bigint::U256 lambda;  // canonical mod r
@@ -50,7 +47,41 @@ struct GlvParams {
   bigint::U256 g1, g2;      // floor(2^256 * b2 / r), floor(2^256 * b1 / r)
 };
 
-const GlvParams& glv_params();
+namespace detail {
+
+/// floor(num * 2^256 / den) by binary long division over the 512-bit value
+/// num * 2^256; requires num < den.
+constexpr bigint::U256 div_pow256(const bigint::U256& num, const bigint::U256& den) {
+  bigint::U256 rem = num, quo;
+  for (int bit = 0; bit < 256; ++bit) {
+    const bool top = (rem.limb[3] >> 63) != 0;
+    rem = bigint::shl1(rem);
+    quo = bigint::shl1(quo);
+    if (top || !bigint::lt(rem, den)) {
+      bigint::sub_with_borrow(rem, den, rem);
+      quo.limb[0] |= 1;
+    }
+  }
+  return quo;
+}
+
+}  // namespace detail
+
+inline constexpr GlvParams kGlv = [] {
+  using ff::detail::horner;
+  const bigint::u64 t = ff::kBnParamT;
+  GlvParams gp;
+  // The cube root of unity 18t^3 + 18t^2 + 9t + 1 (the other one, its
+  // square, would pair with lambda^2).
+  gp.beta = ff::Fp::from_u256(horner({18, 18, 9, 1}, t));
+  gp.lambda = horner({36, 18, 6, 1}, t);
+  gp.a1 = horner({6, 4, 1}, t);
+  gp.b1 = horner({2, 1}, t);
+  gp.b2 = horner({6, 2, 0}, t);
+  gp.g1 = detail::div_pow256(gp.b2, ff::Fr::modulus());
+  gp.g2 = detail::div_pow256(gp.b1, ff::Fr::modulus());
+  return gp;
+}();
 
 /// k = (neg1 ? -k1 : k1) + (neg2 ? -k2 : k2) * lambda (mod r), with the
 /// magnitudes k1, k2 < 2^kGlvHalfBits. Requires k < r (canonical scalar).

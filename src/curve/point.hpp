@@ -10,8 +10,8 @@
 //     11M+5S for the general add) — the workhorse of every fast path;
 //   - batch_to_affine: Jacobian -> affine for whole point sets with a single
 //     field inversion (Montgomery's trick);
-//   - Point::mul: signed-digit wNAF with a batch-normalized table of odd
-//     multiples (Point::mul_naive keeps the double-and-add reference);
+//   - Point::mul: GLV-split signed-digit wNAF on G1, width-5 wNAF on G2,
+//     each over a batch-normalized table of odd multiples;
 //   - msm: Pippenger bucketing over affine bases with signed windows (half
 //     the buckets), limb-wise digit extraction, and batched affine bucket
 //     accumulation that amortizes one inversion over thousands of additions;
@@ -74,19 +74,19 @@ class Point {
   using TagType = Tag;
   using Affine = AffinePoint<F, Tag>;
 
-  Point() : x_(F::one()), y_(F::one()), z_(F::zero()) {}  // infinity
-  Point(const F& x, const F& y) : x_(x), y_(y), z_(F::one()) {}
+  constexpr Point() : x_(F::one()), y_(F::one()), z_(F::zero()) {}  // infinity
+  constexpr Point(const F& x, const F& y) : x_(x), y_(y), z_(F::one()) {}
 
   static Point infinity() { return Point(); }
   static const Point& generator() { return Tag::generator(); }
-  static const F& curve_b() { return Tag::curve_b(); }
+  static constexpr const F& curve_b() { return Tag::curve_b(); }
 
   static Point from_affine(const Affine& a) {
     if (a.infinity) return infinity();
     return Point(a.x, a.y);
   }
 
-  bool is_infinity() const { return z_.is_zero(); }
+  constexpr bool is_infinity() const { return z_.is_zero(); }
 
   /// Affine coordinates; must not be called on the point at infinity.
   std::pair<F, F> to_affine() const {
@@ -117,7 +117,7 @@ class Point {
     return out;
   }
 
-  bool is_on_curve() const {
+  constexpr bool is_on_curve() const {
     if (is_infinity()) return true;
     // Y^2 = X^3 + b Z^6
     F z2 = z_.square();
@@ -203,7 +203,7 @@ class Point {
   /// Scalar multiplication by a canonical integer. For endomorphism-capable
   /// groups (G1) this is the GLV 2-way interleaved signed-wNAF over
   /// {P, phi(P)} — half the doubling chain; otherwise the width-5 wNAF
-  /// ladder. Both agree bit-for-bit with mul_naive on the group.
+  /// ladder. Tests pin both against a double-and-add oracle.
   Point mul(const U256& k) const {
     if constexpr (HasEndomorphism<Tag>) {
       return mul_glv(k);
@@ -214,9 +214,9 @@ class Point {
   Point mul(const Fr& k) const { return mul(k.to_u256()); }
 
   /// Width-5 wNAF over a batch-normalized table of odd multiples:
-  /// ~bit_length doublings plus one mixed addition every ~6 bits. The
-  /// generic path for groups without an endomorphism tag, retained on G1 as
-  /// the GLV differential/bench reference.
+  /// ~bit_length doublings plus one mixed addition every ~6 bits. In the
+  /// library because it is G2's production mul; on G1 tests and benches use
+  /// it as the GLV reference.
   Point mul_wnaf(const U256& k) const {
     if (is_infinity() || k.is_zero()) return infinity();
 
@@ -307,19 +307,6 @@ class Point {
     }
     return acc;
   }
-
-  /// Reference double-and-add ladder (MSB-first). Retained as the
-  /// differential-test oracle for the wNAF path.
-  Point mul_naive(const U256& k) const {
-    Point acc = infinity();
-    unsigned n = k.bit_length();
-    for (unsigned i = n; i-- > 0;) {
-      acc = acc.dbl();
-      if (k.bit(i)) acc += *this;
-    }
-    return acc;
-  }
-  Point mul_naive(const Fr& k) const { return mul_naive(k.to_u256()); }
 
   friend Point operator*(const Fr& k, const Point& p) { return p.mul(k); }
 
@@ -503,7 +490,7 @@ std::size_t batch_affine_add_round(std::vector<AffinePoint<F, Tag>>& pts,
   return pair_count;
 }
 
-/// Signed window digit extraction shared by msm and msm_precomputed:
+/// Signed window digit extraction for the unsplit cold msm:
 /// digits[t * n + i] is scalar i's signed digit in [-half, half] at window
 /// position t (position-major so every later pass is a linear scan; digit 0
 /// never touches a bucket). Returns the number of positions actually used —
@@ -596,7 +583,7 @@ inline unsigned glv_digit_positions(unsigned c) {
 ///     bucket space — the precomputed table's shifted bases bake the 2^{ct}
 ///     weights in, so no doublings remain (msm_precomputed);
 ///   - the base lookup `base(t, i)`: position-independent bases for the cold
-///     path, tbl.pts[t * n + i] for the shifted-base table.
+///     path, row t of the shifted-base table for msm_precomputed.
 template <typename P, typename BaseFn>
 P msm_from_digits(const std::int32_t* digits, std::size_t n, unsigned t_begin,
                   unsigned t_end, unsigned c, bool per_position_buckets,
@@ -903,26 +890,26 @@ P msm(std::span<const P> points, std::span<const Fr> scalars) {
 }
 
 /// Precomputed shifted bases for repeated MSMs over a fixed base set (a KZG
-/// SRS, a commitment key): pts[t * n + i] = 2^{c*t} * B_i in affine. With
+/// SRS, a commitment key, a file's hash points) of an endomorphism group:
+/// row t holds the n shifted bases 2^{c*t} * B_i in affine, then their n phi
+/// images, for the positions a GLV half-scalar digit matrix reaches. With
 /// these, every digit position of every scalar lands in one shared bucket
 /// space, so an MSM needs no doublings, a single reduction, and ~25% fewer
-/// additions than the cold path — at ~positions*n*72 bytes of memory and a
-/// one-time build of ~254 doublings per base.
+/// additions than the cold path — at ~2*positions*n*72 bytes of memory and a
+/// one-time build of ~127 doublings per base.
 template <typename P>
+  requires HasEndomorphism<typename P::TagType>
 struct MsmBasesTable {
   unsigned c = 0;          // digit width the table was built for
-  unsigned positions = 0;  // digit positions covered: ceil(254/c) + 1, or
-                           // ceil(kGlvHalfBits/c) + 1 in glv layout
+  unsigned positions = 0;  // digit positions covered: ceil(kGlvHalfBits/c) + 1
   std::size_t n = 0;       // number of bases
-  bool glv = false;        // endomorphism-split layout: row t holds
-                           // [n shifted bases | their n phi images], and
-                           // lookups run over 2m virtual half-scalar columns
   std::vector<typename P::Affine> pts;
 };
 
 /// Builds the shifted-bases table. Window width is chosen for the expected
 /// MSM size n unless `c` is forced nonzero.
 template <typename P>
+  requires HasEndomorphism<typename P::TagType>
 MsmBasesTable<P> msm_precompute(std::span<const P> points, unsigned c = 0) {
   MsmBasesTable<P> tbl;
   tbl.n = points.size();
@@ -936,17 +923,7 @@ MsmBasesTable<P> msm_precompute(std::span<const P> points, unsigned c = 0) {
     if (c > 18) c = 18;
   }
   tbl.c = c;
-  if constexpr (HasEndomorphism<typename P::TagType>) {
-    // Endomorphism-split layout: half the shifted rows to build (the
-    // half-scalar digit matrix never reaches higher positions), and the
-    // second half of every row is a phi image — one coordinate multiply per
-    // entry instead of a c-deep doubling chain.
-    tbl.glv = true;
-    tbl.positions = detail::glv_digit_positions(c);
-  } else {
-    const unsigned scalar_bits = Fr::modulus().bit_length();
-    tbl.positions = (scalar_bits + c - 1) / c + 1;  // +1: signed-digit carry
-  }
+  tbl.positions = detail::glv_digit_positions(c);
   std::vector<P> jac(std::size_t{tbl.positions} * tbl.n);
   for (std::size_t i = 0; i < tbl.n; ++i) jac[i] = points[i];
   // Each base's doubling chain is independent, so the build shards by base
@@ -962,113 +939,82 @@ MsmBasesTable<P> msm_precompute(std::span<const P> points, unsigned c = 0) {
       }
     }
   });
-  std::vector<typename P::Affine> flat = P::batch_to_affine(jac);
-  if constexpr (HasEndomorphism<typename P::TagType>) {
-    tbl.pts.resize(2 * flat.size());
-    const auto& beta = P::TagType::endo_beta();
-    for (unsigned t = 0; t < positions; ++t) {
-      for (std::size_t i = 0; i < stride; ++i) {
-        const auto& src = flat[std::size_t{t} * stride + i];
-        tbl.pts[std::size_t{t} * 2 * stride + i] = src;
-        auto& phi = tbl.pts[std::size_t{t} * 2 * stride + stride + i];
-        phi = src;
-        phi.x = src.x * beta;  // infinity entries copy through unchanged
-      }
+  // The second half of every row is a phi image: one coordinate multiply
+  // per entry instead of a c-deep doubling chain.
+  const std::vector<typename P::Affine> flat = P::batch_to_affine(jac);
+  tbl.pts.resize(2 * flat.size());
+  const auto& beta = P::TagType::endo_beta();
+  for (unsigned t = 0; t < positions; ++t) {
+    for (std::size_t i = 0; i < stride; ++i) {
+      const auto& src = flat[std::size_t{t} * stride + i];
+      tbl.pts[std::size_t{t} * 2 * stride + i] = src;
+      auto& phi = tbl.pts[std::size_t{t} * 2 * stride + stride + i];
+      phi = src;
+      phi.x = src.x * beta;  // infinity entries copy through unchanged
     }
-  } else {
-    tbl.pts = std::move(flat);
   }
   return tbl;
 }
+
+namespace detail {
+
+/// The pipeline behind both msm_precomputed overloads: sum scalars[j] *
+/// B_{base_index(j)}. One shared bucket space for all positions — the
+/// shifted bases carry the 2^{ct} weights, so no Horner doublings remain in
+/// the combine. The scalars split into 2m half-scalar columns; column j < m
+/// reads base base_index(j) of row t, column m + j its phi image.
+template <typename P, typename IndexFn>
+P msm_precomputed_indexed(const MsmBasesTable<P>& tbl, std::span<const Fr> scalars,
+                          IndexFn base_index) {
+  using A = typename P::Affine;
+  std::vector<std::int32_t> digits;
+  const unsigned used =
+      extract_signed_digits_glv(scalars, tbl.c, tbl.positions, digits);
+  if (used == 0) return P::infinity();
+  const A* pts = tbl.pts.data();
+  const std::size_t n = tbl.n, m = scalars.size();
+  return msm_sharded<P>(
+      digits, 2 * m, used, tbl.c, /*per_position_buckets=*/false,
+      [pts, n, m, base_index](unsigned t, std::size_t i) -> const A& {
+        const A* row = pts + std::size_t{t} * 2 * n;
+        return i < m ? row[base_index(i)] : row[n + base_index(i - m)];
+      });
+}
+
+}  // namespace detail
 
 /// MSM against a precomputed table: sum scalars[i] * B_i for the first
 /// scalars.size() <= tbl.n bases. Bit-identical to msm() / the naive sum.
 template <typename P>
 P msm_precomputed(const MsmBasesTable<P>& tbl, std::span<const Fr> scalars) {
-  using A = typename P::Affine;
-  const std::size_t m = scalars.size();
-  if (m > tbl.n) throw std::invalid_argument("msm_precomputed: too many scalars");
-  if (m == 0) return P::infinity();
-
-  // One shared bucket space for all positions: digit d at position t maps
-  // base tbl.pts[t*n + i] into bucket |d| - 1 — the shifted bases carry the
-  // 2^{ct} weights, so no Horner doublings remain in the combine. In glv
-  // layout the scalars split into 2m half-scalar columns over half the rows,
-  // with columns >= m hitting the phi images.
-  std::vector<std::int32_t> digits;
-  if (tbl.glv) {
-    const unsigned used =
-        detail::extract_signed_digits_glv(scalars, tbl.c, tbl.positions, digits);
-    if (used == 0) return P::infinity();
-    const A* pts = tbl.pts.data();
-    const std::size_t stride = 2 * tbl.n, n = tbl.n;
-    return detail::msm_sharded<P>(
-        digits, 2 * m, used, tbl.c, /*per_position_buckets=*/false,
-        [pts, stride, n, m](unsigned t, std::size_t i) -> const A& {
-          return pts[std::size_t{t} * stride + (i < m ? i : n + (i - m))];
-        });
+  if (scalars.size() > tbl.n) {
+    throw std::invalid_argument("msm_precomputed: too many scalars");
   }
-  const unsigned used =
-      detail::extract_signed_digits(scalars, tbl.c, tbl.positions, digits);
-  if (used == 0) return P::infinity();
-
-  const A* pts = tbl.pts.data();
-  const std::size_t stride = tbl.n;
-  return detail::msm_sharded<P>(
-      digits, m, used, tbl.c, /*per_position_buckets=*/false,
-      [pts, stride](unsigned t, std::size_t i) -> const A& {
-        return pts[std::size_t{t} * stride + i];
-      });
+  if (scalars.empty()) return P::infinity();
+  return detail::msm_precomputed_indexed(tbl, scalars,
+                                         [](std::size_t i) { return i; });
 }
 
 /// MSM of an arbitrary subset of a precomputed table's bases:
 /// sum scalars[j] * B_{indices[j]} (duplicate indices allowed). The audit
 /// verifier's chi = prod H(name||i)^{c_i} over challenged indices is exactly
-/// this shape — the base lookup indirects through the index list, everything
-/// else is the shared pipeline.
+/// this shape.
 template <typename P>
 P msm_precomputed(const MsmBasesTable<P>& tbl,
                   std::span<const std::uint64_t> indices,
                   std::span<const Fr> scalars) {
-  using A = typename P::Affine;
-  const std::size_t m = scalars.size();
-  if (m != indices.size()) {
+  if (scalars.size() != indices.size()) {
     throw std::invalid_argument("msm_precomputed: index/scalar size mismatch");
   }
-  if (m == 0) return P::infinity();
+  if (scalars.empty()) return P::infinity();
   for (std::uint64_t idx : indices) {
     if (idx >= tbl.n) {
       throw std::invalid_argument("msm_precomputed: index out of range");
     }
   }
-
-  std::vector<std::int32_t> digits;
-  if (tbl.glv) {
-    const unsigned used =
-        detail::extract_signed_digits_glv(scalars, tbl.c, tbl.positions, digits);
-    if (used == 0) return P::infinity();
-    const A* pts = tbl.pts.data();
-    const std::size_t stride = 2 * tbl.n, n = tbl.n;
-    const std::uint64_t* idx = indices.data();
-    return detail::msm_sharded<P>(
-        digits, 2 * m, used, tbl.c, /*per_position_buckets=*/false,
-        [pts, stride, n, m, idx](unsigned t, std::size_t i) -> const A& {
-          return pts[std::size_t{t} * stride +
-                     (i < m ? idx[i] : n + idx[i - m])];
-        });
-  }
-  const unsigned used =
-      detail::extract_signed_digits(scalars, tbl.c, tbl.positions, digits);
-  if (used == 0) return P::infinity();
-
-  const A* pts = tbl.pts.data();
-  const std::size_t stride = tbl.n;
   const std::uint64_t* idx = indices.data();
-  return detail::msm_sharded<P>(
-      digits, m, used, tbl.c, /*per_position_buckets=*/false,
-      [pts, stride, idx](unsigned t, std::size_t i) -> const A& {
-        return pts[std::size_t{t} * stride + idx[i]];
-      });
+  return detail::msm_precomputed_indexed(
+      tbl, scalars, [idx](std::size_t j) { return static_cast<std::size_t>(idx[j]); });
 }
 
 }  // namespace dsaudit::curve

@@ -8,9 +8,9 @@
 // -p^-1 mod 2^64, the exponents) is a compile-time constant computed from the
 // modulus limbs, and the static_asserts after FpTag/FrTag check the limbs
 // against the BN polynomials p(t), r(t) and the constants against their
-// definitions, so a typo in a limb fails the build. The curve-level constants
-// (generators, orders, GLV) are checked at run time by
-// curve::validate_bn254_parameters.
+// definitions, so a typo in a limb fails the build. The field operations are
+// constexpr, so the tower, curve and GLV constants built on top of them are
+// compile-time constants with static_asserted identities as well.
 #pragma once
 
 #include <array>
@@ -21,13 +21,11 @@
 #include <string>
 
 #include "bigint/u256.hpp"
-#include "bigint/varuint.hpp"
 #include "primitives/random.hpp"
 
 namespace dsaudit::ff {
 
 using bigint::U256;
-using bigint::VarUInt;
 using bigint::u64;
 
 struct MontParams {
@@ -140,19 +138,19 @@ class PrimeField {
   static constexpr const MontParams& params() { return Tag::kParams; }
   static constexpr const U256& modulus() { return params().modulus; }
 
-  static PrimeField zero() { return PrimeField{}; }
-  static PrimeField one() {
+  static constexpr PrimeField zero() { return PrimeField{}; }
+  static constexpr PrimeField one() {
     PrimeField r;
     r.v_ = params().r_mod;
     return r;
   }
 
-  static PrimeField from_u64(u64 v) { return from_u256(U256{v}); }
+  static constexpr PrimeField from_u64(u64 v) { return from_u256(U256{v}); }
 
   /// Reduce an arbitrary 256-bit value mod p and lift to Montgomery form:
   /// v * R^2 * R^-1 = v * R (mod p), which mont_mul returns fully reduced
   /// for any v < 2^256 because R^2 mod p < p.
-  static PrimeField from_u256(const U256& v) {
+  static constexpr PrimeField from_u256(const U256& v) {
     PrimeField r;
     r.v_ = detail::mont_mul(v, params().r2_mod, params());
     return r;
@@ -181,7 +179,7 @@ class PrimeField {
   }
 
   /// Canonical (non-Montgomery) integer value in [0, p).
-  U256 to_u256() const {
+  constexpr U256 to_u256() const {
     const auto& P = params();
     return detail::mont_mul(v_, U256{1}, P);
   }
@@ -197,38 +195,38 @@ class PrimeField {
 
   std::string to_dec() const { return to_u256().to_dec(); }
 
-  bool is_zero() const { return v_.is_zero(); }
-  bool is_one() const { return v_ == params().r_mod; }
+  constexpr bool is_zero() const { return v_.is_zero(); }
+  constexpr bool is_one() const { return v_ == params().r_mod; }
 
-  friend PrimeField operator+(const PrimeField& a, const PrimeField& b) {
+  friend constexpr PrimeField operator+(const PrimeField& a, const PrimeField& b) {
     PrimeField r;
     r.v_ = bigint::add_mod(a.v_, b.v_, params().modulus);
     return r;
   }
-  friend PrimeField operator-(const PrimeField& a, const PrimeField& b) {
+  friend constexpr PrimeField operator-(const PrimeField& a, const PrimeField& b) {
     PrimeField r;
     r.v_ = bigint::sub_mod(a.v_, b.v_, params().modulus);
     return r;
   }
-  PrimeField operator-() const {
+  constexpr PrimeField operator-() const {
     PrimeField r;
     r.v_ = v_.is_zero() ? v_ : bigint::sub_mod(U256{}, v_, params().modulus);
     return r;
   }
-  friend PrimeField operator*(const PrimeField& a, const PrimeField& b) {
+  friend constexpr PrimeField operator*(const PrimeField& a, const PrimeField& b) {
     PrimeField r;
     r.v_ = detail::mont_mul(a.v_, b.v_, params());
     return r;
   }
-  PrimeField& operator+=(const PrimeField& o) { return *this = *this + o; }
-  PrimeField& operator-=(const PrimeField& o) { return *this = *this - o; }
-  PrimeField& operator*=(const PrimeField& o) { return *this = *this * o; }
+  constexpr PrimeField& operator+=(const PrimeField& o) { return *this = *this + o; }
+  constexpr PrimeField& operator-=(const PrimeField& o) { return *this = *this - o; }
+  constexpr PrimeField& operator*=(const PrimeField& o) { return *this = *this * o; }
 
   // A dedicated sum-of-squares path was measured slower than the interleaved
   // CIOS multiply at 4 limbs (the separate reduction pass costs more than the
   // 6 saved limb products), so squaring just multiplies.
-  PrimeField square() const { return *this * *this; }
-  PrimeField dbl() const { return *this + *this; }
+  constexpr PrimeField square() const { return *this * *this; }
+  constexpr PrimeField dbl() const { return *this + *this; }
 
   /// Inversion via binary extended GCD (an order of magnitude faster than
   /// Fermat at this size; the Miller loop inverts once per step). Returns
@@ -244,10 +242,11 @@ class PrimeField {
     return r;
   }
 
-  /// Fermat inversion a^{p-2}; kept as an independent cross-check path.
-  PrimeField inverse_fermat() const { return pow_u256(params().p_minus_2); }
+  /// Fermat inversion a^{p-2}: the compile-time inverse (inv_mod is not
+  /// constexpr) and an independent cross-check of inverse().
+  constexpr PrimeField inverse_fermat() const { return pow_u256(params().p_minus_2); }
 
-  PrimeField pow_u256(const U256& e) const {
+  constexpr PrimeField pow_u256(const U256& e) const {
     PrimeField result = one();
     PrimeField base = *this;
     unsigned n = e.bit_length();
@@ -280,11 +279,11 @@ class PrimeField {
   /// compression sign bits).
   bool is_odd_canonical() const { return to_u256().is_odd(); }
 
-  friend bool operator==(const PrimeField& a, const PrimeField& b) = default;
+  friend constexpr bool operator==(const PrimeField& a, const PrimeField& b) = default;
 
   /// Raw Montgomery limbs (serialization of internal state for hashing
   /// would be non-canonical; use to_bytes() instead). Exposed for tests.
-  const U256& mont_repr() const { return v_; }
+  constexpr const U256& mont_repr() const { return v_; }
 
  private:
   U256 v_{};  // Montgomery form
@@ -348,18 +347,10 @@ using Fp = PrimeField<FpTag>;
 /// Scalar field (group order r): the paper's Z_p of data blocks/exponents.
 using Fr = PrimeField<FrTag>;
 
-/// Generic exponentiation by a VarUInt exponent for any multiplicative group
-/// element type (needs one(), operator*, square()).
-template <typename F>
-F pow_var(const F& base, const VarUInt& e) {
-  F result = F::one();
-  F b = base;
-  unsigned n = e.bit_length();
-  for (unsigned i = 0; i < n; ++i) {
-    if (e.bit(i)) result = result * b;
-    b = b.square();
-  }
-  return result;
-}
+/// 1/2 in Fp, i.e. (p + 1)/2: the Miller-loop doubling step and the Fp2
+/// square root halve.
+inline constexpr Fp kFpHalf =
+    Fp::from_u256(bigint::shl1(FpTag::kParams.p_plus_1_over_4));
+static_assert(kFpHalf.dbl() == Fp::one(), "kFpHalf != 1/2");
 
 }  // namespace dsaudit::ff

@@ -3,6 +3,9 @@
 // commitment through it in one pass; single-base powers run it over a
 // one-element span. Out of line because the window tables want real code,
 // not header inlining.
+//
+// Also home to the compile-time checks of the tower constants (kTower in
+// fp12.hpp), so they are evaluated once rather than in every includer.
 #include "field/fp12.hpp"
 
 #include <algorithm>
@@ -13,6 +16,50 @@
 namespace dsaudit::ff {
 
 namespace {
+
+/// p + k as an integer (no wrap: p < 2^254).
+constexpr U256 p_plus(u64 k) {
+  U256 out;
+  bigint::add_with_carry(Fp::modulus(), U256{k}, out);
+  return out;
+}
+
+constexpr Fp2 kGamma1 = kTower.gamma[1];
+
+static_assert(bigint::mul_wide(detail::kPMinus1Over6, U256{6}).lo() ==
+                  [] {
+                    U256 pm1;
+                    bigint::sub_with_borrow(Fp::modulus(), U256{1}, pm1);
+                    return pm1;
+                  }(),
+              "6 * kPMinus1Over6 != p - 1");
+// gamma_1^6 = xi^{p-1} = conj(xi)/xi, since xi^p = conj(xi).
+static_assert(detail::fp2_pow(kGamma1, U256{6}) * xi() == xi().conjugate(),
+              "gamma_1^6 != xi^(p-1)");
+static_assert(detail::fp2_pow(kGamma1, p_plus(1)) == kTower.gamma_p2[1],
+              "gamma_p2[1] != gamma_1^(p+1)");
+// xi^{(p^3-1)/6} = gamma_1^{1 + p + p^2} = gamma_1^{p+2}.
+static_assert(detail::fp2_pow(kGamma1, p_plus(2)) == kTower.gamma_p3[1],
+              "gamma_p3[1] != gamma_1^(p+2)");
+static_assert(
+    [] {
+      for (const Fp2& g : kTower.gamma_p2) {
+        if (!g.c1.is_zero()) return false;
+      }
+      return true;
+    }(),
+    "gamma_p2 not in Fp");
+// The twist constants. psi scales by gamma[2] = xi^{(p-1)/3} and gamma[3] =
+// xi^{(p-1)/2}; psi^2 by gamma_p2[2] = xi^{(p^2-1)/3}, a primitive cube root
+// of unity, and gamma_p2[3] = xi^{(p^2-1)/2} = -1, because xi is neither a
+// cube nor a square in Fp2.
+static_assert(detail::fp2_pow(kTower.gamma[2], U256{3}) * xi() == xi().conjugate() &&
+                  detail::fp2_pow(kTower.gamma[3], U256{2}) * xi() ==
+                      xi().conjugate(),
+              "gamma[2]^3, gamma[3]^2 != xi^(p-1)");
+static_assert(detail::fp2_pow(kTower.gamma_p2[2], U256{3}) == Fp2::one() &&
+                  !kTower.gamma_p2[2].is_one() && kTower.gamma_p2[3] == -Fp2::one(),
+              "psi^2 constants are not xi^((p^2-1)/3), xi^((p^2-1)/2)");
 
 /// Deterministic window-width choice in squaring-equivalent units (one
 /// generic Fp12 multiply ~ 2 cyclotomic squarings): per base, building the

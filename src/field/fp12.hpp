@@ -1,8 +1,10 @@
 // Quadratic extension Fp12 = Fp6[w]/(w^2 - v). Target group GT of the
 // pairing lives in the order-r cyclotomic subgroup of Fp12*.
 //
-// Frobenius maps use the constants gamma_k = xi^{k(p-1)/6} in Fp2, derived
-// once at init (see tower_consts.cpp) rather than hard-coded.
+// Frobenius maps use the constants gamma_k = xi^{k(p-1)/6} in Fp2. They are
+// compile-time constants: one constexpr power of xi gives gamma_1, exact
+// identities give the rest, and static_asserts check each identity against
+// an independent power.
 #pragma once
 
 #include <span>
@@ -11,18 +13,51 @@
 
 namespace dsaudit::ff {
 
-/// gamma_k = xi^{k(p-1)/6} for k = 0..5 (gamma[0] = 1), plus the Fp-valued
-/// constants for the squared Frobenius used by the G2 endomorphism.
+namespace detail {
+
+/// base^e by square-and-multiply: the compile-time power behind the tower
+/// constants and their checks.
+constexpr Fp2 fp2_pow(const Fp2& base, const U256& e) {
+  Fp2 result = Fp2::one();
+  Fp2 b = base;
+  for (unsigned i = 0, n = e.bit_length(); i < n; ++i) {
+    if (e.bit(i)) result *= b;
+    b = b.square();
+  }
+  return result;
+}
+
+/// (p - 1)/6 = 6t^4 + 6t^3 + 4t^2 + t, exact: p = 36t^4 + 36t^3 + 24t^2 + 6t + 1.
+inline constexpr U256 kPMinus1Over6 = horner({6, 6, 4, 1, 0}, kBnParamT);
+
+}  // namespace detail
+
+/// The Frobenius constants, for k = 0..5:
+///   gamma[k]    = gamma_1^k                    = xi^{k(p-1)/6}
+///   gamma_p2[k] = (gamma_1 * conj(gamma_1))^k  = xi^{k(p^2-1)/6}, in Fp
+///   gamma_p3[k] = gamma_p2[k] * gamma[k]       = xi^{k(p^3-1)/6}
+/// since gamma_1^p = conj(gamma_1) (the p-power Frobenius on Fp2) and
+/// gamma_1^{p^2} = gamma_1. The G2 endomorphism psi scales by gamma[2] and
+/// gamma[3]; psi^2 by gamma_p2[2] = xi^{(p^2-1)/3} and gamma_p2[3] =
+/// xi^{(p^2-1)/2}.
 struct TowerConsts {
-  std::array<Fp2, 6> gamma;     // for Frobenius on Fp12/Fp6
-  std::array<Fp2, 6> gamma_p2;  // xi^{k(p^2-1)/6}: direct p^2-Frobenius
-  std::array<Fp2, 6> gamma_p3;  // xi^{k(p^3-1)/6}: direct p^3-Frobenius
-  Fp2 twist_frob_x;             // gamma[2]: x-coeff of untwist-Frobenius-twist
-  Fp2 twist_frob_y;             // gamma[3]: y-coeff
-  Fp2 twist_frob2_x;            // xi^{(p^2-1)/3}
-  Fp2 twist_frob2_y;            // xi^{(p^2-1)/2}
+  std::array<Fp2, 6> gamma;     // p-power Frobenius on Fp12/Fp6
+  std::array<Fp2, 6> gamma_p2;  // direct p^2-Frobenius
+  std::array<Fp2, 6> gamma_p3;  // direct p^3-Frobenius
 };
-const TowerConsts& tower_consts();
+
+inline constexpr TowerConsts kTower = [] {
+  const Fp2 g1 = detail::fp2_pow(xi(), detail::kPMinus1Over6);
+  const Fp2 n1 = g1 * g1.conjugate();
+  TowerConsts tc{};
+  tc.gamma[0] = tc.gamma_p2[0] = tc.gamma_p3[0] = Fp2::one();
+  for (int k = 1; k < 6; ++k) {
+    tc.gamma[k] = tc.gamma[k - 1] * g1;
+    tc.gamma_p2[k] = tc.gamma_p2[k - 1] * n1;
+    tc.gamma_p3[k] = tc.gamma_p2[k] * tc.gamma[k];
+  }
+  return tc;
+}();
 
 class Fp12 {
  public:
@@ -112,10 +147,10 @@ class Fp12 {
   }
 
   /// GT exponentiation by an arbitrary 256-bit integer: LSB-first
-  /// square-and-multiply with cyclotomic squarings. Test and bench reference
-  /// for multi_pow, which is the GT exponentiation production code calls.
-  /// Only valid on elements of the cyclotomic subgroup (every GT element
-  /// qualifies).
+  /// square-and-multiply with cyclotomic squarings, the test and bench
+  /// reference for multi_pow. Kept in the library because the benchmark
+  /// program builds its GT bases with it. Only valid on elements of the
+  /// cyclotomic subgroup (every GT element qualifies).
   Fp12 cyclotomic_pow_u256(const U256& e) const {
     Fp12 result = one();
     Fp12 base = *this;
@@ -160,7 +195,7 @@ class Fp12 {
 
   /// p-power Frobenius endomorphism.
   Fp12 frobenius() const {
-    const auto& tc = tower_consts();
+    const auto& tc = kTower;
     // Coefficient of v^i w^j maps to conj(coef) * gamma[(2i + j) mod 6's exponent]
     Fp6 a{c0.c0.conjugate(), c0.c1.conjugate() * tc.gamma[2],
           c0.c2.conjugate() * tc.gamma[4]};
@@ -173,7 +208,7 @@ class Fp12 {
   /// scale by the Fp-valued gamma_p2 constants — 10 Fp2-by-Fp2 products
   /// cheaper than two chained frobenius() calls.
   Fp12 frobenius2() const {
-    const auto& tc = tower_consts();
+    const auto& tc = kTower;
     Fp6 a{c0.c0, c0.c1 * tc.gamma_p2[2], c0.c2 * tc.gamma_p2[4]};
     Fp6 b{c1.c0 * tc.gamma_p2[1], c1.c1 * tc.gamma_p2[3],
           c1.c2 * tc.gamma_p2[5]};
@@ -182,7 +217,7 @@ class Fp12 {
 
   /// p^3-power Frobenius (conjugate coefficients, gamma_p3 scaling).
   Fp12 frobenius3() const {
-    const auto& tc = tower_consts();
+    const auto& tc = kTower;
     Fp6 a{c0.c0.conjugate(), c0.c1.conjugate() * tc.gamma_p3[2],
           c0.c2.conjugate() * tc.gamma_p3[4]};
     Fp6 b{c1.c0.conjugate() * tc.gamma_p3[1], c1.c1.conjugate() * tc.gamma_p3[3],
@@ -198,19 +233,6 @@ class Fp12 {
     if (m == 2) return r.frobenius2();
     if (m == 1) return r.frobenius();
     return r;
-  }
-
-  /// Square-and-multiply with generic squarings: valid on any Fp12 element,
-  /// and the reference the cyclotomic ladders are pinned against.
-  Fp12 pow_u256(const U256& e) const {
-    Fp12 result = one();
-    Fp12 base = *this;
-    unsigned n = e.bit_length();
-    for (unsigned i = 0; i < n; ++i) {
-      if (e.bit(i)) result *= base;
-      base = base.square();
-    }
-    return result;
   }
 
   friend bool operator==(const Fp12& a, const Fp12& b) = default;

@@ -17,9 +17,8 @@ std::optional<Fp2> sqrt(const Fp2& a) {
   // (a0 +- gamma)/2 is x0^2. x0 != 0 because a1 != 0.
   auto gamma = (a.c0.square() + a.c1.square()).sqrt();
   if (!gamma) return std::nullopt;
-  static const Fp half = Fp::from_u64(2).inverse();
-  auto x0 = ((a.c0 + *gamma) * half).sqrt();
-  if (!x0) x0 = ((a.c0 - *gamma) * half).sqrt();
+  auto x0 = ((a.c0 + *gamma) * kFpHalf).sqrt();
+  if (!x0) x0 = ((a.c0 - *gamma) * kFpHalf).sqrt();
   if (!x0) return std::nullopt;
   Fp2 x{*x0, a.c1 * x0->dbl().inverse()};
   if (x.square() == a) return x;

@@ -1,5 +1,6 @@
 #include "pairing/pairing.hpp"
 
+#include <array>
 #include <atomic>
 #include <stdexcept>
 
@@ -17,7 +18,6 @@ std::atomic<std::uint64_t> g_final_exps{0};
 using ff::Fp;
 using ff::Fp6;
 using bigint::u128;
-using bigint::VarUInt;
 
 /// g^e through the one GT exponentiation engine, over a one-element span.
 /// Cyclotomic-subgroup inputs only.
@@ -32,110 +32,58 @@ struct TwistPoint {
   Fp2 x, y;
 };
 
-/// A chord/tangent line through untwisted points, evaluated at P = (xp, yp):
-///   l = yp - lambda' * xp * w + (lambda' * xT - yT) * w^3,
-/// where lambda' is the slope on the twist. Kept sparse — the Miller loop
-/// folds it in with Fp12::mul_by_line.
-struct Line {
-  Fp2 a, b, c;  // (a,0,0) + (b, c, 0) w
-};
-
-Line line_value(const Fp2& lambda, const TwistPoint& t, const Fp& xp, const Fp& yp) {
-  return Line{Fp2{yp, Fp::zero()}, -(lambda.mul_fp(xp)), lambda * t.x - t.y};
-}
-
-/// Vertical line x = xT evaluated at P (used only in the degenerate
-/// T.x == Q.x, T != Q addition case, which cannot occur for honest inputs
-/// but must not crash on adversarial ones): l = xp - xT * w^2. Not sparse in
-/// the Line shape, so returned as a full Fp12.
-Fp12 vertical_line_value(const TwistPoint& t, const Fp& xp) {
-  return Fp12{Fp6{Fp2{xp, Fp::zero()}, -t.x, Fp2::zero()}, Fp6::zero()};
-}
-
-/// Tangent step: returns the line through (T, T) at P and doubles T in place.
-Line double_step(TwistPoint& t, const Fp& xp, const Fp& yp) {
-  Fp2 x2 = t.x.square();
-  Fp2 lambda = x2.triple() * (t.y.dbl()).inverse();
-  Line l = line_value(lambda, t, xp, yp);
-  Fp2 xr = lambda.square() - t.x.dbl();
-  Fp2 yr = lambda * (t.x - xr) - t.y;
-  t = {xr, yr};
-  return l;
-}
-
-/// Chord step: folds the chord line through (T, Q) into f and sets T = T + Q.
-void add_step_into(Fp12& f, TwistPoint& t, const TwistPoint& q, const Fp& xp,
-                   const Fp& yp) {
-  if (t.x == q.x) {
-    if (t.y == q.y) {
-      Line l = double_step(t, xp, yp);
-      f = f.mul_by_line(l.a, l.b, l.c);
-      return;
-    }
-    // T + (-T): vertical line; for order-r inputs with the optimal-ate loop
-    // count this is unreachable, but adversarial inputs must not crash.
-    f = f * vertical_line_value(t, xp);
-    t = {Fp2::zero(), Fp2::zero()};  // poisoned; loop ends immediately after
-    return;
-  }
-  Fp2 lambda = (q.y - t.y) * (q.x - t.x).inverse();
-  Line l = line_value(lambda, t, xp, yp);
-  Fp2 xr = lambda.square() - t.x - q.x;
-  Fp2 yr = lambda * (t.x - xr) - t.y;
-  t = {xr, yr};
-  f = f.mul_by_line(l.a, l.b, l.c);
-}
-
 TwistPoint to_twist_affine(const G2& q) {
   auto [x, y] = q.to_affine();
   return {x, y};
 }
 
-/// The optimal-ate loop count 6t + 2 (65 bits for BN254), derived from the
-/// BN parameter rather than hard-coded. This binary expansion drives only
-/// the textbook oracle loop; the prepared engine walks the NAF chain below.
-const std::vector<bool>& six_t_plus_2_bits() {
-  static const std::vector<bool> bits = [] {
-    u128 v = static_cast<u128>(6) * ff::kBnParamT + 2;
-    std::vector<bool> b;
-    while (v != 0) {
-      b.push_back((v & 1) != 0);
-      v >>= 1;
+/// Signed NAF digits of v (little-endian, digits in {-1, 0, 1}), written to
+/// out unless it is null; returns the digit count.
+constexpr std::size_t naf_digits(u128 v, std::int8_t* out) {
+  std::size_t n = 0;
+  while (v != 0) {
+    std::int8_t d = 0;
+    if (v & 1) {
+      // Odd: pick the digit in {-1, 1} making v - digit divisible by 4,
+      // which forces the next digit to 0 (the NAF property).
+      d = (v & 3) == 3 ? -1 : 1;
+      v -= d;  // unsigned wrap-around implements the -(-1) correctly
     }
-    return b;  // little-endian
-  }();
-  return bits;
+    if (out != nullptr) out[n] = d;
+    ++n;
+    v >>= 1;
+  }
+  return n;
 }
 
-/// Signed NAF digits of 6t + 2 (little-endian, digits in {-1, 0, 1}): 22
-/// nonzero digits where the binary expansion has 37 set bits — 15 fewer
-/// addition steps per Miller chain, paid for by one extra doubling (the NAF
-/// is one digit longer). A digit of -1 adds -Q; for even embedding degree
-/// the dropped vertical lines land in a subfield the final exponentiation
-/// kills, so pairing-level results are unchanged (the textbook binary loop
-/// stays as the differential oracle for exactly that equality). Shared by
-/// the G2Prepared coefficient builder and the replay loops — both must walk
-/// the identical chain for the lock-step cursor to line up.
-const std::vector<std::int8_t>& six_t_plus_2_naf() {
-  static const std::vector<std::int8_t> naf = [] {
-    u128 v = static_cast<u128>(6) * ff::kBnParamT + 2;
-    std::vector<std::int8_t> d;
-    while (v != 0) {
-      if (v & 1) {
-        // Odd: pick the digit in {-1, 1} making v - digit divisible by 4,
-        // which forces the next digit to 0 (the NAF property).
-        std::int8_t di = (v & 3) == 3 ? -1 : 1;
-        d.push_back(di);
-        v -= di;  // unsigned wrap-around implements the -(-1) correctly
-      } else {
-        d.push_back(0);
+/// The optimal-ate loop count 6t + 2 (65 bits for BN254).
+constexpr u128 kSixTPlus2 = u128{6} * ff::kBnParamT + 2;
+
+/// Signed NAF digits of 6t + 2, little-endian: 22 nonzero digits where the
+/// binary expansion has 37 set bits — 15 fewer addition steps per Miller
+/// chain, paid for by one extra doubling (the NAF is one digit longer). A
+/// digit of -1 adds -Q; for even embedding degree the dropped vertical lines
+/// land in a subfield the final exponentiation kills, so pairing-level
+/// results are unchanged (tests pin the pairing against a textbook binary
+/// loop for exactly that equality). Shared by the G2Prepared coefficient
+/// builder and the replay loops — both must walk the identical chain for
+/// the lock-step cursor to line up.
+constexpr auto kSixTPlus2Naf = [] {
+  std::array<std::int8_t, naf_digits(kSixTPlus2, nullptr)> d{};
+  naf_digits(kSixTPlus2, d.data());
+  return d;
+}();
+
+static_assert(
+    [] {
+      u128 v = 0;
+      for (std::size_t i = kSixTPlus2Naf.size(); i-- > 0;) {
+        v = 2 * v + static_cast<u128>(static_cast<std::int64_t>(kSixTPlus2Naf[i]));
+        if (i > 0 && kSixTPlus2Naf[i] != 0 && kSixTPlus2Naf[i - 1] != 0) return false;
       }
-      v >>= 1;
-    }
-    return d;  // little-endian; top digit is always 1
-  }();
-  return naf;
-}
+      return v == kSixTPlus2 && kSixTPlus2Naf.back() == 1;
+    }(),
+    "kSixTPlus2Naf is not the NAF of 6t + 2");
 
 // ---------------------------------------------------------------------------
 // Prepared engine: homogeneous projective Miller steps (Costello–Lange–
@@ -149,20 +97,16 @@ struct HomProjective {
   Fp2 x, y, z;
 };
 
-const Fp& half_fp() {
-  static const Fp h = Fp::from_u64(2).inverse();
-  return h;
-}
 
 /// Tangent line at T, doubling T in place. Line = -H*yp + 3X^2*xp*w + (E-B)w^3
 /// with E = 3b'Z^2, B = Y^2 (up to the shared projective scale).
 G2Prepared::Coeffs doubling_step(HomProjective& r) {
-  Fp2 a = (r.x * r.y).mul_fp(half_fp());
+  Fp2 a = (r.x * r.y).mul_fp(ff::kFpHalf);
   Fp2 b = r.y.square();
   Fp2 c = r.z.square();
   Fp2 e = G2::curve_b() * c.triple();
   Fp2 f = e.triple();
-  Fp2 g = (b + f).mul_fp(half_fp());
+  Fp2 g = (b + f).mul_fp(ff::kFpHalf);
   Fp2 h = (r.y + r.z).square() - (b + c);
   Fp2 i = e - b;
   Fp2 j = r.x.square();
@@ -211,7 +155,7 @@ struct ActivePair {
 /// cursor walks all of them.
 Fp12 miller_loop_product(std::span<const ActivePair> pairs) {
   if (pairs.empty()) return Fp12::one();
-  const auto& naf = six_t_plus_2_naf();
+  const auto& naf = kSixTPlus2Naf;
   Fp12 f = Fp12::one();
   std::size_t idx = 0;
   for (std::size_t i = naf.size() - 1; i-- > 0;) {
@@ -288,7 +232,7 @@ G2Prepared::G2Prepared(const G2& q) {
   const TwistPoint qa{qx, qy};
   const TwistPoint qneg{qx, -qy};
   HomProjective r{qx, qy, Fp2::one()};
-  const auto& naf = six_t_plus_2_naf();
+  const auto& naf = kSixTPlus2Naf;
   coeffs_.reserve(naf.size() + 24);
   for (std::size_t i = naf.size() - 1; i-- > 0;) {
     coeffs_.push_back(doubling_step(r));
@@ -313,28 +257,6 @@ Fp12 miller_loop(const G1& p, const G2Prepared& q) {
 Fp12 miller_loop(const G1& p, const G2& q) {
   if (p.is_infinity() || q.is_infinity()) return Fp12::one();
   return miller_loop(p, G2Prepared(q));
-}
-
-Fp12 miller_loop_textbook(const G1& p, const G2& q) {
-  if (p.is_infinity() || q.is_infinity()) return Fp12::one();
-  auto [xp, yp] = p.to_affine();
-  TwistPoint qa = to_twist_affine(q);
-  const auto& bits = six_t_plus_2_bits();
-
-  Fp12 f = Fp12::one();
-  TwistPoint t = qa;
-  for (std::size_t i = bits.size() - 1; i-- > 0;) {
-    f = f.square();
-    Line l = double_step(t, xp, yp);
-    f = f.mul_by_line(l.a, l.b, l.c);
-    if (bits[i]) add_step_into(f, t, qa, xp, yp);
-  }
-  // Final two additions with the Frobenius images of Q.
-  TwistPoint q1 = to_twist_affine(curve::g2_frobenius(q));
-  TwistPoint q2 = to_twist_affine(-curve::g2_frobenius2(q));
-  add_step_into(f, t, q1, xp, yp);
-  add_step_into(f, t, q2, xp, yp);
-  return f;
 }
 
 Fp12 final_exponentiation(const Fp12& f) {
@@ -376,25 +298,12 @@ Fp12 final_exponentiation(const Fp12& f) {
   return a * b;
 }
 
-Fp12 final_exponentiation_slow(const Fp12& f) {
-  if (f.is_zero()) throw std::domain_error("final_exponentiation_slow: zero input");
-  VarUInt p{Fp::modulus()};
-  VarUInt e = VarUInt::pow(p, 12) - VarUInt{1};
-  auto [q, rem] = VarUInt::divmod(e, VarUInt{ff::Fr::modulus()});
-  if (!rem.is_zero()) throw std::logic_error("(p^12-1) not divisible by r");
-  return ff::pow_var(f, q);
-}
-
 Fp12 pairing(const G1& p, const G2& q) {
   return final_exponentiation(miller_loop(p, q));
 }
 
 Fp12 pairing(const G1& p, const G2Prepared& q) {
   return final_exponentiation(miller_loop(p, q));
-}
-
-Fp12 pairing_textbook(const G1& p, const G2& q) {
-  return final_exponentiation(miller_loop_textbook(p, q));
 }
 
 Fp12 multi_pairing(std::span<const std::pair<G1, G2>> pairs) {

@@ -15,12 +15,6 @@
 // the product. That is what makes the paper's 4-pairing on-chain
 // verification constant-cost, and what lets one prepared verifier key serve
 // many audit rounds.
-//
-// The textbook affine+untwist Miller loop from the original implementation is
-// retained as *_textbook — it is the differential oracle the prepared engine
-// is pinned against in tests (the raw Miller values differ by a subfield
-// factor that the final exponentiation kills, so the oracle equality is at
-// the pairing level).
 #pragma once
 
 #include <cstdint>
@@ -78,10 +72,6 @@ Fp12 miller_loop(const G1& p, const G2Prepared& q);
 /// Map a Miller-loop output (or any Fp12 value) to the r-order subgroup.
 Fp12 final_exponentiation(const Fp12& f);
 
-/// Reference implementation by a single giant exponent (p^12-1)/r; slow,
-/// used to cross-validate the structured version.
-Fp12 final_exponentiation_slow(const Fp12& f);
-
 /// prod_i e(p_i, q_i) with lock-step Miller loops (one shared Fp12 squaring
 /// per bit for the whole product) and one shared final exponentiation.
 Fp12 multi_pairing(std::span<const std::pair<G1, G2>> pairs);
@@ -95,17 +85,11 @@ bool pairing_product_is_one(std::span<const PreparedPair> pairs);
 /// True iff g lies in GT, the order-r subgroup of Fp12^* hit by the pairing:
 /// first the cyclotomic-subgroup identity g^{p^4+1} == g^{p^2} (cheap, two
 /// Frobenius maps), then the order check g^{6t^2} == g^p through
-/// Fp12::multi_pow. BN primes satisfy p - r = 6t^2 exactly (checked at first
-/// use), so g^p * g^{-6t^2} = g^r and the test is g^r == 1 itself, not a
+/// Fp12::multi_pow. BN primes satisfy p - r = 6t^2 exactly (static_asserted
+/// in field/fp.hpp), so g^p * g^{-6t^2} = g^r and the test is g^r == 1 itself, not a
 /// weaker one, on a 127-bit exponent instead of 254 bits. Deserializers use
 /// this to reject unit-norm Fp12 values that are not pairing outputs.
 bool gt_in_subgroup(const Fp12& g);
-
-/// Textbook affine-coordinates Miller loop and pairing (the original
-/// implementation, chord/tangent lines through the untwisting map). Retained
-/// purely as the differential-test oracle for the prepared engine.
-Fp12 miller_loop_textbook(const G1& p, const G2& q);
-Fp12 pairing_textbook(const G1& p, const G2& q);
 
 /// Process-wide pairing-cost telemetry: `chains` counts Miller chains
 /// evaluated — one per finite (G1, G2) pair in any pairing or product, i.e.

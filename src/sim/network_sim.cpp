@@ -94,12 +94,9 @@ ProviderBehavior NetworkSim::behavior_of(const std::string& provider) const {
   return ProviderBehavior::Honest;
 }
 
-const audit::Verifier* NetworkSim::shared_verifier_for(std::size_t owner) const {
-  if (config_.key_pool) return pool_verifiers_[owner % config_.key_pool].get();
-  if (config_.retention == chain::Retention::Streaming) {
-    return owner_verifiers_[owner].get();
-  }
-  return nullptr;  // legacy layout: every contract owns a prepared verifier
+const audit::Verifier& NetworkSim::shared_verifier_for(std::size_t owner) const {
+  if (config_.key_pool) return *pool_verifiers_[owner % config_.key_pool];
+  return *owner_verifiers_[owner];
 }
 
 std::vector<std::uint8_t> NetworkSim::owner_data_of(std::size_t owner) const {
@@ -241,15 +238,12 @@ void NetworkSim::deploy() {
       owner_keys_[o] = audit::keygen(config_.s, key_rng);
       psi_tables_[o] = audit::prepare_psi_table(owner_keys_[o].pk);
     });
-    if (streaming) {
-      // No pool, but contracts still must not each own a verifier: share one
-      // prepared verifier per owner across its shard contracts.
-      owner_verifiers_.resize(config_.num_owners);
-      parallel::parallel_for(config_.num_owners, [&](std::size_t o) {
-        owner_verifiers_[o] =
-            std::make_unique<audit::Verifier>(owner_keys_[o].pk);
-      });
-    }
+    // No pool, but contracts still must not each own a verifier: share one
+    // prepared verifier per owner across its shard contracts.
+    owner_verifiers_.resize(config_.num_owners);
+    parallel::parallel_for(config_.num_owners, [&](std::size_t o) {
+      owner_verifiers_[o] = std::make_unique<audit::Verifier>(owner_keys_[o].pk);
+    });
   }
 
   // Phase 3 (parallel): the heavy per-deployment crypto. Full retention
@@ -326,18 +320,11 @@ void NetworkSim::deploy() {
   initial_money_ = total_money();
 }
 
-std::optional<std::vector<std::uint8_t>> NetworkSim::streaming_prove(
-    std::size_t dep_index, const audit::Challenge& chal,
-    primitives::SecureRng& rng) const {
+storage::EncodedFile NetworkSim::regenerate_held(std::size_t dep_index) const {
   const Deployment& dep = *deployments_[dep_index];
-  const std::size_t o = dep.placement.owner;
-  // Regenerate this deployment's chunks from the owner seed (repaired shards
-  // carry byte-identical content to the originals — reconstruction equality
-  // is checked before any repair proceeds), apply the provider's corruption
-  // state, and prove through a transient prover that borrows the key's psi
-  // table. Same Fr values as the materialized path; nothing retained
-  // afterwards.
-  auto shards = owner_shards_of(o);
+  // Repaired shards carry byte-identical content to the originals —
+  // reconstruction equality is checked before any repair proceeds.
+  auto shards = owner_shards_of(dep.placement.owner);
   storage::EncodedFile held =
       storage::encode_file(shards[dep.placement.shard], config_.s);
   switch (static_cast<Corruption>(hot_corruption_[dep_index])) {
@@ -352,6 +339,18 @@ std::optional<std::vector<std::uint8_t>> NetworkSim::streaming_prove(
     case Corruption::None:
       break;
   }
+  return held;
+}
+
+std::optional<std::vector<std::uint8_t>> NetworkSim::streaming_prove(
+    std::size_t dep_index, const audit::Challenge& chal,
+    primitives::SecureRng& rng) const {
+  const Deployment& dep = *deployments_[dep_index];
+  const std::size_t o = dep.placement.owner;
+  // Prove over the regenerated held chunks through a transient prover that
+  // borrows the key's psi table. Same Fr values as the materialized path;
+  // nothing retained afterwards.
+  const storage::EncodedFile held = regenerate_held(dep_index);
   audit::Prover prover(key_of(o).pk, held, dep.tag, psi_table_of(o));
   if (config_.private_proofs) {
     return audit::serialize(prover.prove_private(chal, rng));
@@ -382,27 +381,13 @@ std::optional<std::vector<std::uint8_t>> NetworkSim::adversarial_prove(
   const auto action = adv.decide(ctx, chal);
   if (action == attack::AdversaryAction::NoAnswer) return std::nullopt;
 
-  // Regenerate the held chunks exactly as streaming_prove does (identical Fr
-  // values in both retention modes), apply any fault corruption, then — for
-  // a cheating answer — zero every chunk the strategy does not actually
-  // hold: the proof fails exactly when the challenge touches one.
+  // The held chunks exactly as streaming_prove sees them (identical Fr
+  // values in both retention modes), then — for a cheating answer — zero
+  // every chunk the strategy does not actually hold: the proof fails exactly
+  // when the challenge touches one.
   const Deployment& dep = *deployments_[dep_index];
   const std::size_t o = dep.placement.owner;
-  auto shards = owner_shards_of(o);
-  storage::EncodedFile held =
-      storage::encode_file(shards[dep.placement.shard], config_.s);
-  switch (static_cast<Corruption>(hot_corruption_[dep_index])) {
-    case Corruption::DropChunk:
-      for (auto& b : held.chunks[0]) b = audit::Fr::zero();
-      break;
-    case Corruption::AllZero:
-      for (auto& chunk : held.chunks) {
-        for (auto& b : chunk) b = audit::Fr::zero();
-      }
-      break;
-    case Corruption::None:
-      break;
-  }
+  storage::EncodedFile held = regenerate_held(dep_index);
   if (action == attack::AdversaryAction::CorruptProof) {
     for (std::size_t i = 0; i < held.chunks.size(); ++i) {
       if (!adv.holds_chunk(ctx, i)) {
@@ -465,20 +450,12 @@ void NetworkSim::install_contract(Deployment& dep, std::size_t dep_index,
     terms.retained_events = 4;
   }
 
-  const audit::Verifier* shared = shared_verifier_for(o);
-  if (shared) {
-    if (prepared) {
-      dep.file_ctx =
-          std::make_unique<audit::PreparedFile>(std::move(*prepared));
-    }
-    dep.contract = std::make_unique<contract::AuditContract>(
-        chain_, *beacon_, terms, *shared, dep.name, dep.num_chunks,
-        dep.file_ctx.get());
-  } else {
-    dep.contract = std::make_unique<contract::AuditContract>(
-        chain_, *beacon_, terms, key_of(o).pk, dep.name, dep.num_chunks,
-        std::move(prepared));
+  if (prepared) {
+    dep.file_ctx = std::make_unique<audit::PreparedFile>(std::move(*prepared));
   }
+  dep.contract = std::make_unique<contract::AuditContract>(
+      chain_, *beacon_, terms, shared_verifier_for(o), dep.name, dep.num_chunks,
+      dep.file_ctx.get());
   if (batch_) dep.contract->enable_deferred_settlement(*batch_);
   const attack::AdversaryStrategy* adv = adversary_of(dep_index);
   if (adv != nullptr) {

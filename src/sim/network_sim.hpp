@@ -97,13 +97,12 @@ struct NetworkConfig {
   /// for 10^5–10^6-owner runs; Full (default) keeps the historical,
   /// fully-materialized behavior.
   chain::Retention retention = chain::Retention::Full;
-  /// 0 (default): one keypair per owner, and — under full retention — one
-  /// prepared Verifier inside every contract, exactly as before. N >= 1:
-  /// owners share a pool of N keypairs (owner o uses key o % N) and every
-  /// contract borrows one of N shared prepared Verifiers. The per-contract
-  /// verifier tables are what dominate memory at 10^5+ owners; a pool makes
-  /// that cost O(N) instead of O(owners) while keeping per-owner RNG
-  /// streams and all observable statistics unchanged.
+  /// 0 (default): one keypair per owner, and one prepared Verifier per
+  /// owner that all its contracts borrow. N >= 1: owners share a pool of N
+  /// keypairs (owner o uses key o % N) and every contract borrows one of N
+  /// shared prepared Verifiers. The verifier tables are what dominate memory
+  /// at 10^5+ owners; a pool makes that cost O(N) instead of O(owners) while
+  /// keeping per-owner RNG streams and all observable statistics unchanged.
   std::size_t key_pool = 0;
   /// Contract-value tiers for the selective-responder adversary: 0 (default)
   /// keeps uniform terms; N >= 1 gives owners with o % N == 0 "premium"
@@ -288,8 +287,8 @@ class NetworkSim {
     // never share an RNG stream: results stay deterministic at every
     // DSAUDIT_THREADS setting.
     std::unique_ptr<primitives::SecureRng> prover_rng;
-    // Shared-verifier mode: the per-file context the contract borrows (null
-    // under streaming — contracts use the cold verification path).
+    // The per-file context the contract borrows (null under streaming —
+    // contracts use the cold verification path).
     std::unique_ptr<audit::PreparedFile> file_ctx;
     std::unique_ptr<contract::AuditContract> contract;  // null iff a repair
                                                         // had no rounds left
@@ -319,18 +318,20 @@ class NetworkSim {
       std::size_t owner) const {
     return psi_tables_[config_.key_pool ? owner % config_.key_pool : owner];
   }
-  /// Shared prepared verifier for this owner's contracts, or null when each
-  /// contract owns its verifier (full retention without a key pool — the
-  /// historical layout).
-  const audit::Verifier* shared_verifier_for(std::size_t owner) const;
+  /// The prepared verifier of this owner's key, borrowed by all its
+  /// contracts.
+  const audit::Verifier& shared_verifier_for(std::size_t owner) const;
   /// Owner file bytes: the stored copy under full retention, regenerated
   /// from the owner's deterministic seed under streaming.
   std::vector<std::uint8_t> owner_data_of(std::size_t owner) const;
   /// The owner's erasure-coded shards (same sourcing rule).
   std::vector<std::vector<std::uint8_t>> owner_shards_of(std::size_t owner) const;
-  /// Streaming responder backend: regenerate this deployment's encoded
-  /// chunks (applying its corruption state), build a transient prover that
-  /// borrows the key's psi table, and serialize the proof.
+  /// This deployment's encoded chunks as its provider holds them:
+  /// regenerated from the owner seed, with its corruption state applied.
+  storage::EncodedFile regenerate_held(std::size_t dep_index) const;
+  /// Streaming responder backend: build a transient prover over the
+  /// regenerated held chunks that borrows the key's psi table, and serialize
+  /// the proof.
   std::optional<std::vector<std::uint8_t>> streaming_prove(
       std::size_t dep_index, const audit::Challenge& chal,
       primitives::SecureRng& rng) const;
@@ -392,7 +393,7 @@ class NetworkSim {
   // Key-pool / shared-verifier state (see NetworkConfig::key_pool).
   std::vector<audit::KeyPair> pool_keys_;
   std::vector<std::unique_ptr<audit::Verifier>> pool_verifiers_;
-  std::vector<std::unique_ptr<audit::Verifier>> owner_verifiers_;  // streaming
+  std::vector<std::unique_ptr<audit::Verifier>> owner_verifiers_;  // no pool
   // One prepared psi table per key (indexed like pool_keys_, else like
   // owner_keys_), shared by every prover of that key.
   std::vector<std::shared_ptr<const curve::MsmBasesTable<audit::G1>>>

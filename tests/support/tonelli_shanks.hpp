@@ -8,8 +8,14 @@
 #include <stdexcept>
 
 #include "field/fp2.hpp"
+#include "support/oracles.hpp"
 
-namespace dsaudit::ff::oracle {
+namespace dsaudit::oracle {
+
+using bigint::u64;
+using bigint::VarUInt;
+using ff::Fp;
+using ff::Fp2;
 
 /// Precomputed Tonelli–Shanks context for a field of order q.
 template <typename F>
@@ -36,9 +42,9 @@ TsContext<F> make_ts_context(const VarUInt& q, const std::function<F(u64)>& cand
   for (u64 n = 1; n < 1000; ++n) {
     F z = candidate(n);
     if (z.is_zero()) continue;
-    F euler = pow_var(z, ctx.q_minus_1_over_2);
+    F euler = pow(z, ctx.q_minus_1_over_2);
     if (!euler.is_one()) {
-      ctx.z_pow_m = pow_var(z, ctx.m);
+      ctx.z_pow_m = pow(z, ctx.m);
       return ctx;
     }
   }
@@ -48,8 +54,8 @@ TsContext<F> make_ts_context(const VarUInt& q, const std::function<F(u64)>& cand
 template <typename F>
 std::optional<F> tonelli_shanks(const F& a, const TsContext<F>& ctx) {
   if (a.is_zero()) return F::zero();
-  F x = pow_var(a, ctx.m_plus_1_over_2);
-  F t = pow_var(a, ctx.m);
+  F x = pow(a, ctx.m_plus_1_over_2);
+  F t = pow(a, ctx.m);
   F c = ctx.z_pow_m;
   unsigned e = ctx.e;
   while (!t.is_one()) {
@@ -83,4 +89,4 @@ inline std::optional<Fp2> ts_sqrt(const Fp2& a) {
   return tonelli_shanks(a, ctx);
 }
 
-}  // namespace dsaudit::ff::oracle
+}  // namespace dsaudit::oracle

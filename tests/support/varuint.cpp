@@ -1,4 +1,4 @@
-#include "bigint/varuint.hpp"
+#include "support/varuint.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -167,6 +167,42 @@ VarUInt VarUInt::pow(const VarUInt& base, unsigned exp) {
   VarUInt r{1};
   for (unsigned i = 0; i < exp; ++i) r = r * base;
   return r;
+}
+
+U256 mod(const U512& a, const U256& m) {
+  if (m.is_zero()) throw std::domain_error("mod: division by zero");
+  // Binary long division over 512 bits: process from the most significant bit
+  // down, maintaining remainder < m.
+  U256 rem;
+  for (int bit = 511; bit >= 0; --bit) {
+    // rem = rem*2 + bit; top bit of rem is always 0 before the shift because
+    // rem < m < 2^256, but guard anyway via carry-aware compare.
+    u64 top = rem.limb[3] >> 63;
+    rem = shl1(rem);
+    if ((a.limb[bit / 64] >> (bit % 64)) & 1) rem.limb[0] |= 1;
+    if (top || !lt(rem, m)) {
+      U256 t;
+      sub_with_borrow(rem, m, t);
+      rem = t;
+    }
+  }
+  return rem;
+}
+
+U256 mul_mod_slow(const U256& a, const U256& b, const U256& m) {
+  return mod(mul_wide(a, b), m);
+}
+
+U256 pow_mod_slow(const U256& a, const U256& e, const U256& m) {
+  U256 base = mod(U512{{a.limb[0], a.limb[1], a.limb[2], a.limb[3], 0, 0, 0, 0}}, m);
+  U256 result{1};
+  result = mod(U512{{1, 0, 0, 0, 0, 0, 0, 0}}, m);  // handles m == 1
+  unsigned nbits = e.bit_length();
+  for (unsigned i = 0; i < nbits; ++i) {
+    if (e.bit(i)) result = mul_mod_slow(result, base, m);
+    base = mul_mod_slow(base, base, m);
+  }
+  return result;
 }
 
 }  // namespace dsaudit::bigint

@@ -1,10 +1,6 @@
-// Arbitrary-precision unsigned integers for init-time constant derivation.
-//
-// The pairing and tower-field code needs exponents such as (p^6 - 1)/2^e,
-// (p^12 - 1)/r and xi^((p^k - 1)/6) at library-initialization time. Rather
-// than hard-coding hundreds of magic limbs (easy to get silently wrong), we
-// derive everything from the BN parameter t with this small bignum class and
-// cross-check the curve constants. Not used on any hot path.
+// Arbitrary-precision unsigned integers and slow modular arithmetic: the
+// reference integer arithmetic tests check the library's fixed-width,
+// Montgomery and compile-time derivations against. Test and bench code only.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +45,7 @@ class VarUInt {
   VarUInt shl(unsigned bits) const;
   VarUInt shr(unsigned bits) const;
 
-  /// Quotient and remainder by binary long division (init-time only).
+  /// Quotient and remainder by binary long division.
   /// Returns {quotient, remainder}.
   static std::pair<VarUInt, VarUInt> divmod(const VarUInt& a, const VarUInt& b);
 
@@ -59,5 +55,14 @@ class VarUInt {
   void normalize();
   std::vector<u64> limbs_;
 };
+
+/// a mod m via binary long division, bit by bit.
+U256 mod(const U512& a, const U256& m);
+
+/// (a * b) mod m, via mul_wide + mod.
+U256 mul_mod_slow(const U256& a, const U256& b, const U256& m);
+
+/// a^e mod m by square-and-multiply using the slow modmul.
+U256 pow_mod_slow(const U256& a, const U256& e, const U256& m);
 
 }  // namespace dsaudit::bigint

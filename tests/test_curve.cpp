@@ -4,8 +4,8 @@
 #include "curve/g1.hpp"
 #include "curve/g2.hpp"
 #include "curve/glv.hpp"
-#include "curve/params_check.hpp"
 #include "field/sqrt.hpp"
+#include "support/oracles.hpp"
 
 namespace dsaudit::curve {
 namespace {
@@ -13,8 +13,51 @@ namespace {
 using ff::Fr;
 using primitives::SecureRng;
 
-TEST(Params, Bn254SelfCheck) {
-  EXPECT_NO_THROW(validate_bn254_parameters());
+// The BN254 constants whose checks need curve arithmetic (the integer and
+// field identities are static_asserts next to the constants).
+TEST(Params, GeneratorsHaveOrderR) {
+  EXPECT_TRUE(G1::generator().is_on_curve());
+  EXPECT_TRUE(oracle::mul_naive(G1::generator(), Fr::modulus()).is_infinity());
+  EXPECT_FALSE(G1::generator().is_infinity());
+  EXPECT_TRUE(oracle::g2_in_subgroup_naive(G2::generator()));
+  EXPECT_FALSE(G2::generator().is_infinity());
+}
+
+TEST(Params, TwistEndomorphismEigenvalues) {
+  // psi acts as [p] on the r-subgroup of the twist (p mod r is the
+  // eigenvalue of Frobenius on G2), psi^2 as [p^2].
+  const Fr p_mod_r = Fr::from_u256(ff::Fp::modulus());
+  const G2 q = oracle::mul_naive(G2::generator(), Fr::from_u64(12345));
+  EXPECT_EQ(g2_frobenius(q), oracle::mul_naive(q, p_mod_r));
+  EXPECT_EQ(g2_frobenius2(q), oracle::mul_naive(q, p_mod_r * p_mod_r));
+}
+
+TEST(Params, GlvEndomorphismActsAsLambda) {
+  // beta's orientation: phi(x, y) = (beta x, y) is [lambda] on G1, not
+  // [lambda^2] (which the other cube root of unity, beta^2, would give).
+  for (const G1& g : {G1::generator(),
+                      oracle::mul_naive(G1::generator(), Fr::from_u64(987654321))}) {
+    auto [x, y] = g.to_affine();
+    EXPECT_EQ(G1(x * kGlv.beta, y), oracle::mul_naive(g, kGlv.lambda));
+    EXPECT_NE(G1(x * kGlv.beta.square(), y), oracle::mul_naive(g, kGlv.lambda));
+  }
+}
+
+TEST(Params, GlvConstantsMatchVarUIntDerivation) {
+  using bigint::VarUInt;
+  const VarUInt t{ff::kBnParamT};
+  const VarUInt t2 = t * t, t3 = t2 * t;
+  const VarUInt r{Fr::modulus()};
+  EXPECT_EQ(VarUInt{kGlv.lambda},
+            VarUInt{36} * t3 + VarUInt{18} * t2 + VarUInt{6} * t + VarUInt{1});
+  EXPECT_EQ(VarUInt{kGlv.a1}, VarUInt{6} * t2 + VarUInt{4} * t + VarUInt{1});
+  EXPECT_EQ(VarUInt{kGlv.b1}, VarUInt{2} * t + VarUInt{1});
+  EXPECT_EQ(VarUInt{kGlv.b2}, VarUInt{6} * t2 + VarUInt{2} * t);
+  EXPECT_EQ(VarUInt{kGlv.g1}, VarUInt::divmod(VarUInt{kGlv.b2}.shl(256), r).first);
+  EXPECT_EQ(VarUInt{kGlv.g2}, VarUInt::divmod(VarUInt{kGlv.b1}.shl(256), r).first);
+  const VarUInt p{ff::Fp::modulus()};
+  const VarUInt beta{kGlv.beta.to_u256()};
+  EXPECT_TRUE(VarUInt::divmod(beta * beta + beta + VarUInt{1}, p).second.is_zero());
 }
 
 template <typename G>
@@ -206,7 +249,7 @@ TYPED_TEST(GroupLaw, WnafMulMatchesDoubleAndAdd) {
     ks.push_back(k);
   }
   for (const auto& k : ks) {
-    EXPECT_EQ(p.mul(k), p.mul_naive(k)) << "k=" << k.to_hex();
+    EXPECT_EQ(p.mul(k), oracle::mul_naive(p, k)) << "k=" << k.to_hex();
   }
   EXPECT_TRUE(TypeParam::infinity().mul(ks[0]).is_infinity());
 }
@@ -243,8 +286,8 @@ TEST(FixedBase, MatchesGenericMul) {
   auto rng = SecureRng::deterministic(56);
   for (int i = 0; i < 10; ++i) {
     Fr k = Fr::random(rng);
-    EXPECT_EQ(g1_mul_generator(k), G1::generator().mul_naive(k));
-    EXPECT_EQ(g2_mul_generator(k), G2::generator().mul_naive(k));
+    EXPECT_EQ(g1_mul_generator(k), oracle::mul_naive(G1::generator(), k));
+    EXPECT_EQ(g2_mul_generator(k), oracle::mul_naive(G2::generator(), k));
   }
   EXPECT_TRUE(g1_mul_generator(Fr::zero()).is_infinity());
   EXPECT_EQ(g1_mul_generator(Fr::one()), G1::generator());
@@ -264,7 +307,7 @@ TEST(Msm, DuplicatePointsAndStructuredScalars) {
   for (std::size_t n : {2u, 5u, 33u, 200u}) {
     std::vector<G1> pts(n, p);
     std::vector<Fr> sc(n, Fr::from_u64(7));
-    EXPECT_EQ(msm<G1>(pts, sc), p.mul_naive(ff::U256{7 * n})) << "n=" << n;
+    EXPECT_EQ(msm<G1>(pts, sc), oracle::mul_naive(p, ff::U256{7 * n})) << "n=" << n;
     // Alternating k and -k over the same point cancels to infinity.
     if (n % 2 == 0) {
       Fr k = Fr::random(rng);
@@ -363,7 +406,7 @@ TEST(Msm, ScalarsAtThe254BitBound) {
   for (int i = 0; i < 24; ++i) {
     pts.push_back(g1_random(rng));
     sc.push_back(i % 3 == 0 ? r_minus_1 : (i % 3 == 1 ? high_bit : Fr::random(rng)));
-    expect += pts.back().mul_naive(sc.back());
+    expect += oracle::mul_naive(pts.back(), sc.back());
   }
   EXPECT_EQ(msm<G1>(pts, sc), expect);
   auto tbl = msm_precompute<G1>(pts);
@@ -423,7 +466,7 @@ TEST(Msm, SubsetEdgeCases) {
 /// lattice-basis coordinates (Babai rounding lands exactly on a lattice
 /// vertex).
 std::vector<ff::U256> glv_edge_scalars() {
-  const GlvParams& gp = glv_params();
+  const GlvParams& gp = kGlv;
   ff::U256 r = Fr::modulus();
   ff::U256 rm1, r_minus_lambda;
   bigint::sub_with_borrow(r, ff::U256{1}, rm1);
@@ -445,7 +488,7 @@ std::vector<ff::U256> glv_edge_scalars() {
 }
 
 TEST(Glv, DecomposeRoundTripAndBounds) {
-  const GlvParams& gp = glv_params();
+  const GlvParams& gp = kGlv;
   const ff::U256 r = Fr::modulus();
   auto check = [&](const ff::U256& k) {
     GlvDecomposed d = glv_decompose(k);
@@ -467,7 +510,7 @@ TEST(Glv, MulRoutesAgreeOnEdgeScalars) {
   auto rng = SecureRng::deterministic(64);
   G1 p = g1_random(rng);
   for (const auto& k : glv_edge_scalars()) {
-    G1 naive = p.mul_naive(k);
+    G1 naive = oracle::mul_naive(p, k);
     EXPECT_EQ(p.mul(k), naive) << "k=" << k.to_hex();          // GLV route
     EXPECT_EQ(p.mul_wnaf(k), naive) << "k=" << k.to_hex();     // generic wNAF
   }
@@ -489,7 +532,7 @@ TEST(Glv, MsmEntryPointsAgreeOnEdgeScalars) {
   for (std::size_t i = 0; i < edges.size(); ++i) {
     pts.push_back(i % 5 == 4 ? G1::infinity() : g1_random(rng));
     sc.push_back(Fr::from_u256(edges[i]));
-    expect += pts.back().mul_naive(sc.back().to_u256());
+    expect += oracle::mul_naive(pts.back(), sc.back().to_u256());
   }
   EXPECT_EQ(msm<G1>(pts, sc), expect);
   auto tbl = msm_precompute<G1>(pts);
@@ -510,7 +553,7 @@ TEST(Glv, ColdMsmUnsplitRegimeMatchesNaive) {
   for (int i = 0; i < 20; ++i) {
     pts.push_back(g1_random(rng));
     sc.push_back(Fr::from_u256(ff::U256{rng.next_u64(), rng.next_u64(), 0, 0}));
-    expect += pts.back().mul_naive(sc.back().to_u256());
+    expect += oracle::mul_naive(pts.back(), sc.back().to_u256());
   }
   EXPECT_EQ(msm<G1>(pts, sc), expect);
 }
@@ -520,18 +563,18 @@ TEST(G2Subgroup, PsiCheckAgreesWithOrderLadder) {
   // agree on every input class: subgroup points, infinity, cofactor points,
   // and off-curve garbage.
   auto rng = SecureRng::deterministic(67);
-  EXPECT_TRUE(g2_in_subgroup_naive(G2::generator()));
-  EXPECT_EQ(g2_in_subgroup(G2::infinity()), g2_in_subgroup_naive(G2::infinity()));
+  EXPECT_TRUE(oracle::g2_in_subgroup_naive(G2::generator()));
+  EXPECT_EQ(g2_in_subgroup(G2::infinity()), oracle::g2_in_subgroup_naive(G2::infinity()));
   for (int i = 0; i < 5; ++i) {
     G2 q = g2_random(rng);
     EXPECT_TRUE(g2_in_subgroup(q));
-    EXPECT_TRUE(g2_in_subgroup_naive(q));
+    EXPECT_TRUE(oracle::g2_in_subgroup_naive(q));
   }
   // Off-curve: an arbitrary (x, y) almost surely misses the twist.
   G2 bad{ff::Fp2::random(rng), ff::Fp2::random(rng)};
   if (!bad.is_on_curve()) {
     EXPECT_FALSE(g2_in_subgroup(bad));
-    EXPECT_FALSE(g2_in_subgroup_naive(bad));
+    EXPECT_FALSE(oracle::g2_in_subgroup_naive(bad));
   }
   // On the twist but outside the r-subgroup.
   int found = 0;
@@ -541,7 +584,7 @@ TEST(G2Subgroup, PsiCheckAgreesWithOrderLadder) {
     auto y = ff::sqrt(rhs);
     if (!y) continue;
     G2 p{x, *y};
-    EXPECT_EQ(g2_in_subgroup(p), g2_in_subgroup_naive(p));
+    EXPECT_EQ(g2_in_subgroup(p), oracle::g2_in_subgroup_naive(p));
     EXPECT_FALSE(g2_in_subgroup(p));
     ++found;
   }

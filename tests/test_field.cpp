@@ -13,6 +13,7 @@
 namespace dsaudit::ff {
 namespace {
 
+using bigint::VarUInt;
 using primitives::SecureRng;
 
 // ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ TEST(Fp2Tower, FrobeniusIsPthPower) {
   auto rng = SecureRng::deterministic(30);
   Fp2 a = Fp2::random(rng);
   Fp2 frob = a.frobenius();
-  Fp2 pth = pow_var(a, VarUInt{Fp::modulus()});
+  Fp2 pth = oracle::pow(a, VarUInt{Fp::modulus()});
   EXPECT_EQ(frob, pth);
 }
 
@@ -313,7 +314,7 @@ TEST(Fp6Tower, VIsANonSquare) {
   const Fp6 v{Fp2::zero(), Fp2::one(), Fp2::zero()};
   const VarUInt p{Fp::modulus()};
   const VarUInt half_order = (VarUInt::pow(p, 6) - VarUInt{1}).shr(1);
-  EXPECT_EQ(pow_var(v, half_order), -Fp6::one());
+  EXPECT_EQ(oracle::pow(v, half_order), -Fp6::one());
 }
 
 TEST(Fp6Tower, MulByVMatchesMul) {
@@ -334,7 +335,7 @@ TEST(Fp12Tower, WSquaredIsV) {
 TEST(Fp12Tower, FrobeniusIsPthPower) {
   auto rng = SecureRng::deterministic(32);
   Fp12 a = Fp12::random(rng);
-  EXPECT_EQ(a.frobenius(), pow_var(a, VarUInt{Fp::modulus()}));
+  EXPECT_EQ(a.frobenius(), oracle::pow(a, VarUInt{Fp::modulus()}));
 }
 
 TEST(Fp12Tower, FrobeniusOrderTwelve) {
@@ -348,12 +349,12 @@ TEST(Fp12Tower, FrobeniusOrderTwelve) {
 TEST(Fp12Tower, PowHomomorphism) {
   auto rng = SecureRng::deterministic(34);
   Fp12 a = Fp12::random(rng);
-  EXPECT_EQ(a.pow_u256(U256{3}) * a.pow_u256(U256{5}), a.pow_u256(U256{8}));
-  EXPECT_EQ(a.pow_u256(U256{0}), Fp12::one());
+  EXPECT_EQ(oracle::pow(a, U256{3}) * oracle::pow(a, U256{5}), oracle::pow(a, U256{8}));
+  EXPECT_EQ(oracle::pow(a, U256{0}), Fp12::one());
   U256 e1{123456789}, e2{987654321};
   U256 sum;
   bigint::add_with_carry(e1, e2, sum);
-  EXPECT_EQ(a.pow_u256(e1) * a.pow_u256(e2), a.pow_u256(sum));
+  EXPECT_EQ(oracle::pow(a, e1) * oracle::pow(a, e2), oracle::pow(a, sum));
 }
 
 // ---------------------------------------------------------------------------
@@ -450,14 +451,22 @@ TEST(BatchInverse, LargeSetSingleInversionIsConsistent) {
   }
 }
 
-TEST(TowerConsts, GammaConsistency) {
-  const auto& tc = tower_consts();
-  // gamma[k] = gamma[1]^k and gamma[1]^6 = xi^{p-1}.
-  EXPECT_EQ(tc.gamma[2], tc.gamma[1] * tc.gamma[1]);
-  EXPECT_EQ(tc.gamma[3], tc.gamma[2] * tc.gamma[1]);
-  Fp2 g6 = tc.gamma[3] * tc.gamma[3];
-  VarUInt pm1 = VarUInt{Fp::modulus()} - VarUInt{1};
-  EXPECT_EQ(g6, pow_var(xi(), pm1));
+TEST(TowerConsts, MatchVarUIntDerivation) {
+  // Every compile-time Frobenius constant against its own power
+  // xi^{k(p^n - 1)/6}, computed without the identities kTower is built from.
+  const TowerConsts expect = oracle::tower_consts_by_varuint();
+  for (int k = 0; k < 6; ++k) {
+    EXPECT_EQ(kTower.gamma[k], expect.gamma[k]) << "k=" << k;
+    EXPECT_EQ(kTower.gamma_p2[k], expect.gamma_p2[k]) << "k=" << k;
+    EXPECT_EQ(kTower.gamma_p3[k], expect.gamma_p3[k]) << "k=" << k;
+  }
+  // The twist constants of psi^2: xi^{(p^2-1)/3} and xi^{(p^2-1)/2}.
+  const VarUInt p{Fp::modulus()};
+  const VarUInt p2m1 = p * p - VarUInt{1};
+  EXPECT_EQ(kTower.gamma_p2[2],
+            oracle::pow(xi(), VarUInt::divmod(p2m1, VarUInt{3}).first));
+  EXPECT_EQ(kTower.gamma_p2[3],
+            oracle::pow(xi(), VarUInt::divmod(p2m1, VarUInt{2}).first));
 }
 
 }  // namespace

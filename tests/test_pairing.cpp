@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "pairing/pairing.hpp"
+#include "support/oracles.hpp"
 
 namespace dsaudit::pairing {
 namespace {
@@ -16,7 +17,7 @@ TEST(Pairing, NonDegenerate) {
   EXPECT_FALSE(e.is_one());
   EXPECT_FALSE(e.is_zero());
   // Result has order dividing r: e^r == 1.
-  EXPECT_TRUE(e.pow_u256(Fr::modulus()).is_one());
+  EXPECT_TRUE(oracle::pow(e, Fr::modulus()).is_one());
 }
 
 TEST(Pairing, InfinityGivesOne) {
@@ -30,7 +31,7 @@ TEST(Pairing, BilinearLeft) {
   G1 p = curve::g1_random(rng);
   G2 q = curve::g2_random(rng);
   Fr a = Fr::random(rng);
-  EXPECT_EQ(pairing(p.mul(a), q), pairing(p, q).pow_u256(a.to_u256()));
+  EXPECT_EQ(pairing(p.mul(a), q), oracle::pow(pairing(p, q), a.to_u256()));
 }
 
 TEST(Pairing, BilinearRight) {
@@ -38,7 +39,7 @@ TEST(Pairing, BilinearRight) {
   G1 p = curve::g1_random(rng);
   G2 q = curve::g2_random(rng);
   Fr b = Fr::random(rng);
-  EXPECT_EQ(pairing(p, q.mul(b)), pairing(p, q).pow_u256(b.to_u256()));
+  EXPECT_EQ(pairing(p, q.mul(b)), oracle::pow(pairing(p, q), b.to_u256()));
 }
 
 TEST(Pairing, FullBilinearity) {
@@ -47,7 +48,7 @@ TEST(Pairing, FullBilinearity) {
   G2 q = curve::g2_random(rng);
   Fr a = Fr::random(rng), b = Fr::random(rng);
   EXPECT_EQ(pairing(p.mul(a), q.mul(b)), pairing(p.mul(b), q.mul(a)));
-  EXPECT_EQ(pairing(p.mul(a), q.mul(b)), pairing(p, q).pow_u256((a * b).to_u256()));
+  EXPECT_EQ(pairing(p.mul(a), q.mul(b)), oracle::pow(pairing(p, q), (a * b).to_u256()));
 }
 
 TEST(Pairing, AdditiveInFirstArgument) {
@@ -77,11 +78,11 @@ TEST(FinalExp, FastMatchesSlow) {
   for (int i = 0; i < 3; ++i) {
     Fp12 f = Fp12::random(rng);
     if (f.is_zero()) continue;
-    EXPECT_EQ(final_exponentiation(f), final_exponentiation_slow(f));
+    EXPECT_EQ(final_exponentiation(f), oracle::final_exponentiation_slow(f));
   }
   // And on an actual Miller-loop output.
   Fp12 m = miller_loop(G1::generator(), G2::generator());
-  EXPECT_EQ(final_exponentiation(m), final_exponentiation_slow(m));
+  EXPECT_EQ(final_exponentiation(m), oracle::final_exponentiation_slow(m));
   EXPECT_THROW(final_exponentiation(Fp12::zero()), std::domain_error);
 }
 
@@ -117,7 +118,7 @@ TEST(Prepared, MatchesTextbookPairingOnRandomPairs) {
   for (int i = 0; i < 4; ++i) {
     G1 p = curve::g1_random(rng);
     G2 q = curve::g2_random(rng);
-    Fp12 expect = pairing_textbook(p, q);
+    Fp12 expect = oracle::pairing_textbook(p, q);
     EXPECT_EQ(pairing(p, q), expect);
     G2Prepared prep(q);
     EXPECT_EQ(pairing(p, prep), expect);
@@ -132,7 +133,7 @@ TEST(Prepared, ReusedAcrossManyG1Points) {
   G2Prepared prep(q);
   for (int i = 0; i < 3; ++i) {
     G1 p = curve::g1_random(rng);
-    EXPECT_EQ(pairing(p, prep), pairing_textbook(p, q));
+    EXPECT_EQ(pairing(p, prep), oracle::pairing_textbook(p, q));
   }
 }
 
@@ -179,7 +180,7 @@ TEST(MultiPairing, PreparedMatchesProductOfTextbookPairings) {
   Fp12 expect = Fp12::one();
   for (int i = 0; i < 4; ++i) {
     raw.emplace_back(curve::g1_random(rng), curve::g2_random(rng));
-    expect *= pairing_textbook(raw.back().first, raw.back().second);
+    expect *= oracle::pairing_textbook(raw.back().first, raw.back().second);
   }
   prep.reserve(raw.size());
   std::vector<PreparedPair> pairs;
@@ -199,7 +200,7 @@ TEST(FinalExp, FastMatchesSlowOnMultiPairProducts) {
   for (int i = 0; i < 4; ++i) {
     m *= miller_loop(curve::g1_random(rng), curve::g2_random(rng));
   }
-  EXPECT_EQ(final_exponentiation(m), final_exponentiation_slow(m));
+  EXPECT_EQ(final_exponentiation(m), oracle::final_exponentiation_slow(m));
 }
 
 TEST(Fp12Ops, CyclotomicSquareMatchesGenericOnCyclotomicElements) {
@@ -213,9 +214,9 @@ TEST(Fp12Ops, CyclotomicSquareMatchesGenericOnCyclotomicElements) {
     cur = cur.cyclotomic_square() * g;
   }
   ff::Fr e = ff::Fr::random(rng);
-  EXPECT_EQ(g.cyclotomic_pow_u256(e.to_u256()), g.pow_u256(e.to_u256()));
+  EXPECT_EQ(g.cyclotomic_pow_u256(e.to_u256()), oracle::pow(g, e.to_u256()));
   EXPECT_EQ(g.cyclotomic_pow_u256(ff::U256{ff::kBnParamT}),
-            g.pow_u256(ff::U256{ff::kBnParamT}));
+            oracle::pow(g, ff::U256{ff::kBnParamT}));
 }
 
 TEST(Fp12Ops, DirectFrobeniusPowersMatchIterated) {

@@ -13,6 +13,7 @@
 #include "kzg/kzg.hpp"
 #include "pairing/pairing.hpp"
 #include "storage/erasure.hpp"
+#include "support/oracles.hpp"
 
 namespace dsaudit {
 namespace {
@@ -202,10 +203,10 @@ TEST(Properties, GtElementsHaveOrderR) {
   // g^{r-1} == g^{-1} == conj(g).
   auto rng = SecureRng::deterministic(1009);
   ff::Fp12 g = pairing::pairing(curve::g1_random(rng), curve::g2_random(rng));
-  EXPECT_TRUE(g.pow_u256(ff::Fr::modulus()).is_one());
+  EXPECT_TRUE(oracle::pow(g, ff::Fr::modulus()).is_one());
   ff::U256 rm1;
   bigint::sub_with_borrow(ff::Fr::modulus(), ff::U256{1}, rm1);
-  EXPECT_EQ(g.pow_u256(rm1), g.conjugate());
+  EXPECT_EQ(oracle::pow(g, rm1), g.conjugate());
   EXPECT_EQ(g * g.conjugate(), ff::Fp12::one());
 }
 
@@ -331,7 +332,7 @@ TEST(GtMultiExp, SingleBaseEdgeExponents) {
     got[k] = ff::Fp12::multi_pow(std::span<const ff::Fp12>(&g, 1),
                                  std::span<const ff::U256>(&exps[k], 1));
     EXPECT_TRUE(got[k] == g.cyclotomic_pow_u256(exps[k])) << "exponent #" << k;
-    EXPECT_TRUE(got[k] == g.pow_u256(exps[k])) << "exponent #" << k;
+    EXPECT_TRUE(got[k] == oracle::pow(g, exps[k])) << "exponent #" << k;
   }
   EXPECT_TRUE(got[4] == g.conjugate());  // r-1
   EXPECT_TRUE(got[5].is_one());          // r
@@ -381,7 +382,7 @@ TEST(GtMultiExp, SubgroupClosure) {
   for (auto& e : exps) e = ff::U256{rng.next_u64(), rng.next_u64(), 0, 0};
   ff::Fp12 out = ff::Fp12::multi_pow(bases, exps);
   EXPECT_TRUE(pairing::gt_in_subgroup(out));
-  EXPECT_TRUE(out.pow_u256(ff::Fr::modulus()).is_one());
+  EXPECT_TRUE(oracle::pow(out, ff::Fr::modulus()).is_one());
 }
 
 TEST(Properties, CodecPreservesArbitrarySizes) {
